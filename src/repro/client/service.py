@@ -224,7 +224,7 @@ class ClientService:
             # certified it long ago; a fresh digest still lets a slow
             # client finish its certificate.
             result = b""
-            digest = self._result_digest(request.client_id, request.sequence, b"")
+            digest = result_digest_of(request.client_id, request.sequence, b"")
         else:
             result, digest = cached
         self._emit_reply(
@@ -243,7 +243,7 @@ class ClientService:
         application.
         """
         result = self.result_fn(block, op) if self.result_fn is not None else b""
-        digest = self._result_digest(op.client_id, op.sequence, result)
+        digest = result_digest_of(op.client_id, op.sequence, result)
         self.sessions.record(op.client_id, op.sequence, result, digest)
 
     def _on_commit(self, block: Block, now: float) -> None:
@@ -262,16 +262,13 @@ class ClientService:
                 # No application attached (DES replicas): the result is
                 # empty and its digest request-derived — identical on
                 # every correct replica, which is all certificates need.
-                digest = self._result_digest(op.client_id, op.sequence, b"")
+                digest = result_digest_of(op.client_id, op.sequence, b"")
                 self.sessions.record(op.client_id, op.sequence, b"", digest)
             cached = self.sessions.cached_reply(op.client_id, op.sequence)
             if cached is None:
                 continue
             result, digest = cached
             self._emit_reply(op.client_id, op.sequence, result, digest, op.weight)
-
-    def _result_digest(self, client_id: int, sequence: int, result: bytes) -> bytes:
-        return result_digest_of(client_id, sequence, result)
 
     def _emit_reply(
         self, client_id: int, sequence: int, result: bytes, digest: bytes, weight: int

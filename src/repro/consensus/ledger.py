@@ -14,12 +14,15 @@ latencies are handed to the metrics sink.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable
 
 from repro.common.errors import SafetyViolation
 from repro.consensus.block import Block, Operation
 from repro.consensus.blocktree import BlockTree
 from repro.crypto.hashing import Digest
+
+_key_of = attrgetter("_key")
 
 
 class Ledger:
@@ -139,16 +142,33 @@ class Ledger:
         for node in path:
             self._committed.append(node.digest)
             self._committed_set.add(node.digest)
-            for op in node.operations:
-                # Exactly-once execution: an operation re-proposed by a
-                # later leader (possible under rotation) executes once.
-                key = op._key
-                if key in executed:
-                    continue
-                executed.add(key)
-                self._ops_committed += op.weight
-                if on_execute is not None:
-                    on_execute(node, op)
+            operations = node.operations
+            # With nothing to run per op, a block whose keys are all new
+            # (the failure-free case) is committed whole.  A tuple, not a
+            # set: a throwaway hash table per block and replica costs RSS.
+            keys = tuple(map(_key_of, operations)) if on_execute is None else None
+            if keys is not None and executed.isdisjoint(keys):
+                size = len(executed)
+                executed.update(keys)
+                if len(executed) - size == len(keys):
+                    self._ops_committed += node.num_ops
+                else:
+                    # A key repeated within the block counts once, at the
+                    # weight of its first occurrence (written last here).
+                    self._ops_committed += sum(
+                        {op._key: op.weight for op in reversed(operations)}.values()
+                    )
+            else:
+                for op in operations:
+                    # Exactly-once execution: an operation re-proposed by a
+                    # later leader (possible under rotation) executes once.
+                    key = op._key
+                    if key in executed:
+                        continue
+                    executed.add(key)
+                    self._ops_committed += op.weight
+                    if on_execute is not None:
+                        on_execute(node, op)
             if on_commit_block is not None:
                 on_commit_block(node)
         return path

@@ -6,28 +6,78 @@ view-1 bootstrap) is excluded, matching standard evaluation methodology.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter, mul
 
 from repro.common.utils import mean, percentile
+
+_latency_of = itemgetter(1)
+_weight_of = itemgetter(2)
+
+
+@dataclass
+class _SortedSamples:
+    """One readout's view of a recorder: latencies in ascending order with
+    the running weight total at each, plus the weighted count and mean."""
+
+    #: The sample list this view was built from, and its length then.
+    source: list
+    length: int
+    latencies: array
+    cumulative: array
+    count: int
+    mean: float
 
 
 @dataclass
 class LatencyRecorder:
-    """Collects (timestamp, latency, weight) samples."""
+    """Collects (timestamp, latency, weight) samples.
+
+    Readouts sort the samples once and answer every percentile from that
+    by bisection.  The sorted view is keyed on the identity and length of
+    ``samples``, so :meth:`record`, :meth:`reset` and callers extending
+    ``samples`` directly all invalidate it.
+    """
 
     window_start: float = 0.0
     window_end: float = float("inf")
     samples: list[tuple[float, float, int]] = field(default_factory=list)
+    _sorted: _SortedSamples | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def record(self, when: float, latency: float, weight: int = 1) -> None:
         if self.window_start <= when <= self.window_end:
             self.samples.append((when, latency, weight))
 
+    def _view(self) -> _SortedSamples:
+        samples = self.samples
+        view = self._sorted
+        if view is not None and view.source is samples and view.length == len(samples):
+            return view
+        ordered = sorted(samples, key=_latency_of)
+        cumulative = array("q", accumulate(map(_weight_of, ordered)))
+        count = cumulative[-1] if cumulative else 0
+        # Summed in insertion order, as the float result depends on it.
+        total = sum(map(mul, map(_latency_of, samples), map(_weight_of, samples)))
+        view = self._sorted = _SortedSamples(
+            source=samples,
+            length=len(samples),
+            latencies=array("d", map(_latency_of, ordered)),
+            cumulative=cumulative,
+            count=count,
+            mean=total / count if count else 0.0,
+        )
+        return view
+
     def _weighted_percentile(self, pct: float) -> float:
         """Nearest-rank percentile over the weighted samples.
 
-        Walks the latency-sorted samples accumulating weight until the
-        target rank — no per-operation entries are materialised, and
+        Finds the first latency-sorted sample whose running weight passes
+        the target rank — no per-operation entries are materialised, and
         heavy samples (large batches) carry their full weight rather
         than a capped one.  With all weights 1 this matches
         :func:`repro.common.utils.percentile` exactly.
@@ -36,27 +86,19 @@ class LatencyRecorder:
             return 0.0
         if not 0.0 <= pct <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        ordered = sorted(self.samples, key=lambda s: s[1])
+        view = self._view()
         if pct == 0.0:
-            return ordered[0][1]
-        total = self.count
+            return view.latencies[0]
+        total = view.count
         index = min(max(1, int(round(pct / 100.0 * total + 0.5)) - 1), total - 1)
-        cumulative = 0
-        for _, latency, weight in ordered:
-            cumulative += weight
-            if cumulative > index:
-                return latency
-        return ordered[-1][1]
+        return view.latencies[bisect_right(view.cumulative, index)]
 
     @property
     def count(self) -> int:
-        return sum(w for _, _, w in self.samples)
+        return self._view().count
 
     def mean(self) -> float:
-        total_weight = self.count
-        if total_weight == 0:
-            return 0.0
-        return sum(lat * w for _, lat, w in self.samples) / total_weight
+        return self._view().mean
 
     def p50(self) -> float:
         return self._weighted_percentile(50.0)
@@ -82,7 +124,9 @@ class LatencyRecorder:
         }
 
     def reset(self) -> None:
+        # Same list, and refilling may bring it back to the cached length.
         self.samples.clear()
+        self._sorted = None
 
 
 @dataclass

@@ -658,24 +658,25 @@ def view_change_latency(
     cluster.start()
     cluster.sim.schedule(0.01, pool.start)
     cluster.crash_at(0, crash_time)  # replica 0 leads view 1
-    deadline = crash_time + 30.0
-    cluster.run_until(
-        lambda: any(
-            r.cview >= 2 and r.ledger.num_committed_blocks > 0
-            and any(
-                when > crash_time and rid != 0
-                for rid, _, _, when in cluster.auditor.commits
-            )
-            for r in cluster.replicas[1:]
-        ),
-        deadline,
-    )
-    cluster.assert_safety()
     alive = cluster.replicas[1:]
-    vc_start = min(r.view_entered_at for r in alive if r.cview >= 2)
-    post = [when for rid, _, _, when in cluster.auditor.commits if when > vc_start and rid != 0]
+
+    def commits_after_view_change() -> list[float]:
+        # A commit between the crash and the view change (the crashed
+        # leader's last block finishing) does not end the measurement.
+        entered = [r.view_entered_at for r in alive if r.cview >= 2]
+        if not entered:
+            return []
+        vc_start = min(entered)
+        return [
+            when for rid, _, _, when in cluster.auditor.commits if when > vc_start and rid != 0
+        ]
+
+    cluster.run_until(lambda: bool(commits_after_view_change()), crash_time + 30.0)
+    cluster.assert_safety()
+    post = commits_after_view_change()
     if not post:
         raise RuntimeError(f"{protocol} never committed after the view change")
+    vc_start = min(r.view_entered_at for r in alive if r.cview >= 2)
     first_commit = min(post)
     views = max(r.cview for r in alive)
     path = "hotstuff" if protocol == "hotstuff" else ("unhappy" if force_unhappy else "happy")

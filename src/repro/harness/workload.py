@@ -83,6 +83,41 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
     replica.commit_listeners.append(on_commit)
 
 
+def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
+    """Fold one replica's ReplyBatch into the pool's ``f + 1`` acks.
+
+    Returns the op keys this batch certified (shared by the open- and
+    closed-loop generators).  Their latency samples are appended here, and
+    their throughput is recorded as one weighted count: every op of a
+    batch certifies at the same instant, so the window test runs once.
+    """
+    now = pool.cluster.sim.now
+    replica_bit = 1 << batch.replica
+    need = pool.f + 1
+    weight = pool.token_weight
+    submit_time = pool._submit_time
+    acks = pool._acks
+    latency = pool.latency
+    samples = latency.samples if latency.window_start <= now <= latency.window_end else None
+    certified: list[tuple[int, int]] = []
+    for key in batch.op_keys:
+        submitted = submit_time.get(key)
+        if submitted is None:
+            continue  # already acknowledged (and, closed-loop, recycled)
+        mask = acks.get(key, 0) | replica_bit
+        if mask.bit_count() < need:
+            acks[key] = mask
+            continue
+        del submit_time[key]
+        acks.pop(key, None)
+        if samples is not None:
+            samples.append((now, now - submitted, weight))
+        certified.append(key)
+    if certified:
+        pool.throughput.record(now, len(certified) * weight)
+    return certified
+
+
 class OpenLoopClients:
     """Open-loop (Poisson) load generator.
 
@@ -175,27 +210,8 @@ class OpenLoopClients:
         sim.schedule(self.tick, self._tick)
 
     def _on_message(self, src: int, payload: Any) -> None:
-        if not isinstance(payload, ReplyBatch):
-            return
-        now = self.cluster.sim.now
-        replica_bit = 1 << payload.replica
-        need = self.f + 1
-        weight = self.token_weight
-        submit_time = self._submit_time
-        acks = self._acks
-        for key in payload.op_keys:
-            submitted = submit_time.get(key)
-            if submitted is None:
-                continue
-            mask = acks.get(key, 0) | replica_bit
-            if mask.bit_count() < need:
-                acks[key] = mask
-                continue
-            del submit_time[key]
-            acks.pop(key, None)
-            self.acknowledged_ops += weight
-            self.latency.record(now, now - submitted, weight=weight)
-            self.throughput.record(now, weight)
+        if isinstance(payload, ReplyBatch):
+            self.acknowledged_ops += len(_acknowledge(self, payload)) * self.token_weight
 
     @property
     def completed_ops(self) -> int:
@@ -360,26 +376,31 @@ class ClosedLoopClients:
             for endpoint in self._endpoints:
                 endpoint.session.submit(self._payload)
             return
-        ops = [self._new_op(client_id) for client_id in self.client_ids]
-        self._submit(ops)
+        self._release(self.client_ids)
 
-    def _new_op(self, client_id: int) -> Operation:
-        seq = self._next_seq.get(client_id, 0)
-        self._next_seq[client_id] = seq + 1
-        op = Operation(
-            client_id=client_id, sequence=seq, payload=self._payload,
-            weight=self.token_weight,
-        )
+    def _release(self, client_ids: list[int]) -> None:
+        """Submit each client's next request, all in one batch."""
         now = self.cluster.sim.now
-        self._submit_time[op._key] = now
-        if client_id in self._sampled_ids:
-            journey = self._journey
-            journey.record(client_id, seq, CK_SUBMIT, now)
-            if self.shard is not None:
-                # Hub routing is the router's partition — instantaneous,
-                # but the checkpoint pins the journey to its shard.
-                journey.record(client_id, seq, CK_ROUTED, now)
-        return op
+        next_seq = self._next_seq
+        submit_time = self._submit_time
+        payload = self._payload
+        weight = self.token_weight
+        sampled_ids = self._sampled_ids
+        ops: list[Operation] = []
+        for client_id in client_ids:
+            seq = next_seq.get(client_id, 0)
+            next_seq[client_id] = seq + 1
+            op = Operation(client_id, seq, payload, weight)
+            submit_time[op._key] = now
+            ops.append(op)
+            if client_id in sampled_ids:
+                journey = self._journey
+                journey.record(client_id, seq, CK_SUBMIT, now)
+                if self.shard is not None:
+                    # Hub routing is the router's partition — instantaneous,
+                    # but the checkpoint pins the journey to its shard.
+                    journey.record(client_id, seq, CK_ROUTED, now)
+        self._submit(ops)
 
     def _submit(self, ops: list[Operation]) -> None:
         if not ops:
@@ -397,34 +418,15 @@ class ClosedLoopClients:
     def _on_message(self, src: int, payload: Any) -> None:
         if not isinstance(payload, ReplyBatch):
             return
-        now = self.cluster.sim.now
-        replica_bit = 1 << payload.replica
-        need = self.f + 1
-        weight = self.token_weight
-        submit_time = self._submit_time
-        acks = self._acks
-        record_latency = self.latency.record
-        record_throughput = self.throughput.record
-        new_op = self._new_op
-        journey = self._journey
+        certified = _acknowledge(self, payload)
         sampled_ids = self._sampled_ids
-        fresh: list[Operation] = []
-        for key in payload.op_keys:
-            submitted = submit_time.get(key)
-            if submitted is None:
-                continue  # already acknowledged and recycled
-            mask = acks.get(key, 0) | replica_bit
-            if mask.bit_count() < need:
-                acks[key] = mask
-                continue
-            del submit_time[key]
-            acks.pop(key, None)
-            record_latency(now, now - submitted, weight=weight)
-            record_throughput(now, weight)
-            if key[0] in sampled_ids:
-                journey.record(key[0], key[1], CK_CERTIFIED, now)
-            fresh.append(new_op(key[0]))
-        self._submit(fresh)
+        if sampled_ids:
+            now = self.cluster.sim.now
+            for client_id, seq in certified:
+                if client_id in sampled_ids:
+                    self._journey.record(client_id, seq, CK_CERTIFIED, now)
+        # Closed loop: each certificate releases that client's next request.
+        self._release([client_id for client_id, _ in certified])
 
     # ------------------------------------------------------------ readouts
 

@@ -155,18 +155,26 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.commit(b)
 
-    def test_exactly_once_execution(self):
+    @pytest.mark.parametrize("with_executor", [True, False], ids=["executor", "no-executor"])
+    def test_exactly_once_execution(self, with_executor):
         tree = BlockTree(genesis_block())
         duplicate = op(7)
         a = make_child(tree.genesis, 1, (duplicate,), digest_of("qa"))
-        b = make_child(a, 1, (duplicate, op(8)), digest_of("qb"))
-        tree.add(a)
-        tree.add(b)
+        # 7 repeats across blocks, 8 within one block.
+        b = make_child(a, 1, (duplicate, op(8), op(8)), digest_of("qb"))
+        c = make_child(b, 1, (op(9, weight=3),), digest_of("qc"))
+        for block in (a, b, c):
+            tree.add(block)
         executed: list[int] = []
-        ledger = Ledger(tree, on_execute=lambda blk, o: executed.append(o.sequence))
+        ledger = Ledger(
+            tree,
+            on_execute=(lambda blk, o: executed.append(o.sequence)) if with_executor else None,
+        )
         ledger.commit(b)
-        assert executed == [7, 8]
         assert ledger.ops_committed == 2
+        ledger.commit(c)
+        assert ledger.ops_committed == 5
+        assert executed == ([7, 8, 9] if with_executor else [])
 
     def test_weighted_ops_counted(self):
         tree = BlockTree(genesis_block())

@@ -23,7 +23,7 @@ from repro.client import (
     SessionTable,
     result_digest_of,
 )
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, EncodingError
 from repro.consensus.context import LocalContext
 from repro.consensus.messages import ClientReply, ClientRequest, ReadReply
 from repro.crypto.hashing import digest_of
@@ -40,6 +40,28 @@ def reply(client=9, seq=1, replica=0, result=b"", digest=None, view=1):
         else result_digest_of(client, seq, result),
         view=view,
     )
+
+
+class TestResultDigest:
+    """``result_digest_of`` hashes the reply encoding without building it;
+    the generic encoder is the reference."""
+
+    @pytest.mark.parametrize("result", [b"", b"ok", bytes(range(256)) + b"x" * 44])
+    @pytest.mark.parametrize(
+        "client_id, sequence",
+        [(0, 0), (9, 1), (-1, -(2**63)), (2**63 - 1, 2**63 - 1), (-7, 12345)],
+    )
+    def test_matches_canonical_encoding(self, client_id, sequence, result):
+        assert result_digest_of(client_id, sequence, result) == digest_of(
+            ["reply", client_id, sequence, result]
+        )
+
+    @pytest.mark.parametrize("client_id, sequence", [(2**63, 1), (1, -(2**63) - 1)])
+    def test_out_of_range_integer_raises(self, client_id, sequence):
+        with pytest.raises(EncodingError):
+            digest_of(["reply", client_id, sequence, b""])
+        with pytest.raises(EncodingError):
+            result_digest_of(client_id, sequence, b"")
 
 
 class TestClientConfig:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.config import ClusterConfig, ExperimentConfig, NetworkProfile
 from repro.harness.des_runtime import DESCluster
+from repro.harness.scenarios import view_change_latency
 from repro.harness.workload import ClosedLoopClients
 
 
@@ -112,6 +113,17 @@ class TestCrashRecovery:
         assert post
         heights = [r.ledger.committed_height for r in alive]
         assert max(heights) - min(heights) <= 2
+
+
+    # On these seeds the crashed leader's last block commits after the
+    # crash but before any replica starts the view change; the Fig. 10i
+    # measurement must run on to the first commit after the view change.
+    @pytest.mark.parametrize("seed", [42, 116, 209, 218])
+    def test_unhappy_view_change_measured_past_late_commit(self, seed):
+        result = view_change_latency("marlin", 1, force_unhappy=True, seed=seed)
+        assert result.path == "unhappy"
+        assert 3.0 < result.vc_start < result.first_commit
+        assert 0.2 < result.latency < 0.4
 
 
 class TestRotation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.common.config import ClusterConfig, ExperimentConfig, NetworkProfile
@@ -38,6 +40,41 @@ class TestLatencyRecorder:
     def test_empty(self):
         rec = LatencyRecorder()
         assert rec.mean() == 0.0 and rec.p50() == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_expanded_weight_reference(self, seed):
+        rng = random.Random(seed)
+        rec = LatencyRecorder()
+        for _ in range(rng.randint(1, 400)):
+            # Coarse latencies so ties between samples of different
+            # weights are common.
+            rec.record(rng.random(), rng.randint(0, 50) / 100.0, weight=rng.randint(1, 6))
+        expanded = [lat for _, lat, w in rec.samples for _ in range(w)]
+        for pct in (0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0):
+            assert rec._weighted_percentile(pct) == percentile(expanded, pct)
+        assert rec.count == len(expanded)
+        assert rec.mean() == pytest.approx(sum(expanded) / len(expanded))
+        # Bit-identical to the insertion-order weighted sum.
+        assert rec.mean() == sum(lat * w for _, lat, w in rec.samples) / len(expanded)
+
+    def test_readout_follows_record_extend_and_reset(self):
+        rec = LatencyRecorder()
+        rec.record(1.0, 0.5)
+        assert (rec.p50(), rec.count, rec.mean()) == (0.5, 1, 0.5)
+        rec.record(2.0, 0.1, weight=3)
+        assert (rec.p50(), rec.count, rec.mean()) == (0.1, 4, pytest.approx(0.2))
+        rec.samples.extend([(3.0, 0.9, 4)])
+        assert (rec.p50(), rec.p99(), rec.count) == (0.5, 0.9, 8)
+        rec.reset()
+        assert (rec.p50(), rec.count, rec.mean()) == (0.0, 0, 0.0)
+        # Same list refilled to the length it had at an earlier readout.
+        for when, latency in ((1.0, 0.7), (2.0, 0.8), (3.0, 0.9)):
+            rec.record(when, latency)
+        rec.p50()
+        rec.reset()
+        for when, latency in ((1.0, 0.1), (2.0, 0.2), (3.0, 0.3)):
+            rec.record(when, latency)
+        assert (rec.p50(), rec.p99(), rec.mean()) == (0.2, 0.3, pytest.approx(0.2))
 
 
 class TestThroughputMeter:
