@@ -143,7 +143,7 @@ def run_sharded_once(jobs: int) -> tuple[dict[int, int], str, float]:
     import hashlib
 
     from repro.common.encoding import encode
-    from repro.des.parallel import ParallelShardedCluster
+    from repro.shard.parallel import ParallelShardedCluster
     from repro.shard.config import ShardConfig
 
     cluster_cfg = ClusterConfig.for_f(

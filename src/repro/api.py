@@ -214,9 +214,9 @@ class Scenario:
     shard: "ShardConfig | None" = field(default=None)
     shards: int = 1
     #: Worker processes for the simulation itself (not the sweep): with
-    #: ``des_jobs > 1`` a sharded load point runs each consensus group's
-    #: simulator across that many spawn workers via
-    #: :class:`repro.des.ParallelShardedCluster`, with results
+    #: ``des_jobs > 1`` a sharded load point runs each consensus group as
+    #: one task on that many spawn workers via
+    #: :class:`repro.shard.parallel.ParallelShardedCluster`, with results
     #: byte-identical to ``des_jobs=1``.  Requires ``shards >= 2``.
     des_jobs: int = 1
     #: Byzantine adversary injected into the run: the name of a

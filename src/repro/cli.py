@@ -400,15 +400,14 @@ def _cmd_adversary(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _cmd_shard_parallel(args: argparse.Namespace) -> None:
-    """``repro shard --jobs N``: same run, groups across N processes.
+def _cmd_shard(args: argparse.Namespace) -> None:
+    """``repro shard``: G key-routed consensus groups, audited per group.
 
-    Byte-identical readouts to the serial path (same table, aggregate
-    line, metrics JSON and audit verdict) — diffing the two outputs is
-    the cheapest end-to-end determinism check, and CI does exactly that.
+    ``--jobs N`` runs the groups across N processes instead of one shared
+    simulator.  Both engines feed one report, so the two outputs are
+    byte-identical — diffing them is the cheapest end-to-end determinism
+    check, and CI does exactly that.
     """
-    from repro.des.parallel import ParallelShardedCluster
-    from repro.harness.metrics import LatencyRecorder
     from repro.harness.scenarios import _experiment, _token_weight
     from repro.shard import ShardConfig
 
@@ -416,26 +415,51 @@ def _cmd_shard_parallel(args: argparse.Namespace) -> None:
     experiment = _experiment(
         args.f, seed=args.seed, base_timeout=120.0, max_timeout=240.0
     )
-    engine = ParallelShardedCluster(
-        experiment,
+    options = dict(
         shard=shard,
         protocol=args.protocol,
         crypto_mode="null",
         audit=True,
         metrics=bool(args.metrics_out),
-        jobs=args.jobs,
     )
-    engine.run_workload(
+    workload = dict(
         num_clients=args.clients,
-        sim_time=args.sim_time,
         token_weight=_token_weight(args.clients),
         warmup=args.warmup,
     )
+    if args.jobs > 1:
+        from repro.shard.parallel import ParallelShardedCluster
+
+        parallel = ParallelShardedCluster(experiment, jobs=args.jobs, **options)
+        parallel.run_workload(sim_time=args.sim_time, **workload)
+        results = parallel.group_results
+    else:
+        from repro.harness.workload import ShardedClosedLoopClients
+        from repro.shard import ShardedCluster
+        from repro.shard.cluster import read_group
+
+        sharded = ShardedCluster(experiment, **options)
+        pool = ShardedClosedLoopClients(sharded, **workload)
+        sharded.start()
+        sharded.sim.schedule(0.01, pool.start)
+        sharded.run(until=args.sim_time)
+        sharded.assert_safety()
+        results = [read_group(g, sub) for g, sub in zip(sharded.groups, pool.pools)]
+    _print_shard_report(args, results)
+
+
+def _print_shard_report(args: argparse.Namespace, results: list) -> None:
+    """Table, aggregate line, ``--metrics-out`` dump and audit exit code,
+    from either engine's per-group :class:`~repro.shard.cluster.GroupResult`."""
+    from repro.shard.cluster import merged_latency, merged_metrics_snapshot
+
     duration = args.sim_time - args.warmup
+    per_shard_tps = [
+        result.pool_ops / duration if duration > 0 else 0.0 for result in results
+    ]
     rows = []
-    for result, tps in zip(engine.group_results, engine.per_shard_tps(duration)):
-        latency = LatencyRecorder(window_start=args.warmup)
-        latency.samples.extend(result.latency_samples)
+    for result, tps in zip(results, per_shard_tps):
+        latency = merged_latency([result], window_start=args.warmup)
         report = result.audit_report or {"ok": True, "violations": []}
         rows.append(
             [
@@ -447,7 +471,7 @@ def _cmd_shard_parallel(args: argparse.Namespace) -> None:
                 "OK" if report["ok"] else f"{len(report['violations'])} violations",
             ]
         )
-    merged = engine.merged_latency(window_start=args.warmup)
+    merged = merged_latency(results, window_start=args.warmup)
     print(
         format_table(
             f"sharded run ({args.protocol}, G={args.shards}, f={args.f} per group)",
@@ -456,95 +480,21 @@ def _cmd_shard_parallel(args: argparse.Namespace) -> None:
         )
     )
     print(
-        f"\naggregate: {ktx(sum(engine.per_shard_tps(duration)))} ktx/s  "
+        f"\naggregate: {ktx(sum(per_shard_tps))} ktx/s  "
         f"lat(mean)={ms(merged.mean())} ms  lat(p99)={ms(merged.p99())} ms"
     )
     if args.metrics_out:
         import json
 
+        snapshot = merged_metrics_snapshot(
+            (r.shard_id, r.registry) for r in results if r.registry is not None
+        )
         with open(args.metrics_out, "w") as fh:
-            json.dump(engine.metrics_snapshot(), fh, indent=2, sort_keys=True)
+            json.dump(snapshot, fh, indent=2, sort_keys=True)
         log.info("wrote %s", args.metrics_out)
-    violations = engine.audit_violations()
-    if violations:
-        print(f"online audit: {violations} violation(s)")
-        raise SystemExit(1)
-
-
-def _cmd_shard(args: argparse.Namespace) -> None:
-    from repro.harness.scenarios import _experiment, _token_weight
-    from repro.harness.workload import ShardedClosedLoopClients
-    from repro.shard import ShardConfig, ShardedCluster
-
-    if args.jobs > 1:
-        _cmd_shard_parallel(args)
-        return
-    shard = ShardConfig(shards=args.shards, router=args.router, router_seed=args.seed)
-    experiment = _experiment(
-        args.f, seed=args.seed, base_timeout=120.0, max_timeout=240.0
+    violations = sum(
+        len(r.audit_report.get("violations", [])) for r in results if r.audit_report
     )
-    sharded = ShardedCluster(
-        experiment,
-        shard=shard,
-        protocol=args.protocol,
-        crypto_mode="null",
-        audit=True,
-        metrics=bool(args.metrics_out),
-    )
-    pool = ShardedClosedLoopClients(
-        sharded,
-        num_clients=args.clients,
-        token_weight=_token_weight(args.clients),
-        warmup=args.warmup,
-    )
-    sharded.start()
-    sharded.sim.schedule(0.01, pool.start)
-    sharded.run(until=args.sim_time)
-    sharded.assert_safety()
-    duration = args.sim_time - args.warmup
-    rows = []
-    for group, sub in zip(sharded.groups, pool.pools):
-        tps = sub.throughput.throughput(duration=duration) if sub is not None else 0.0
-        lat = sub.latency.mean() if sub is not None else 0.0
-        report = (
-            group.observability.audit_report()
-            if group.observability is not None
-            else {"ok": True, "violations": []}
-        )
-        rows.append(
-            [
-                str(group.shard_id),
-                str(sub.num_clients if sub is not None else 0),
-                ktx(tps),
-                ms(lat),
-                str(group.misrouted_ops),
-                "OK" if report["ok"] else f"{len(report['violations'])} violations",
-            ]
-        )
-    aggregate = sum(
-        sub.throughput.throughput(duration=duration)
-        for sub in pool.pools
-        if sub is not None
-    )
-    merged = pool.merged_latency()
-    print(
-        format_table(
-            f"sharded run ({args.protocol}, G={args.shards}, f={args.f} per group)",
-            ["shard", "clients", "ktx/s", "lat ms", "misrouted", "audit"],
-            rows,
-        )
-    )
-    print(
-        f"\naggregate: {ktx(aggregate)} ktx/s  "
-        f"lat(mean)={ms(merged.mean())} ms  lat(p99)={ms(merged.p99())} ms"
-    )
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w") as fh:
-            json.dump(sharded.metrics_snapshot(), fh, indent=2, sort_keys=True)
-        log.info("wrote %s", args.metrics_out)
-    violations = sharded.audit_violations()
     if violations:
         print(f"online audit: {violations} violation(s)")
         raise SystemExit(1)

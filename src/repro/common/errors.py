@@ -16,6 +16,10 @@ class ConfigError(ReproError):
     """An invalid or inconsistent configuration was supplied."""
 
 
+class WorkerCrashError(ReproError):
+    """A worker process died mid-task (killed, out of memory, ...)."""
+
+
 class EncodingError(ReproError):
     """A value could not be canonically encoded or decoded."""
 

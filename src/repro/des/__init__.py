@@ -14,19 +14,8 @@ from repro.des.timers import Timer, TimerWheel
 
 __all__ = [
     "Event",
-    "ParallelShardedCluster",
     "Process",
     "Simulator",
     "Timer",
     "TimerWheel",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: repro.des.parallel pulls in the harness layer (which itself
-    # imports this package), so exporting it eagerly would be a cycle.
-    if name == "ParallelShardedCluster":
-        from repro.des.parallel import ParallelShardedCluster
-
-        return ParallelShardedCluster
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,29 +1,17 @@
 """Parallel experiment engine: multi-process sweeps and result caching.
 
-A throughput/latency curve is a list of *independent* deterministic load
-points — each is a pure function of its scenario parameters and the code
-that interprets them.  That makes the sweep embarrassingly parallel and
-perfectly cacheable:
-
-* :class:`SweepExecutor` fans load points across ``jobs`` worker
-  processes (``spawn`` context: each worker imports :mod:`repro` fresh
-  and builds its own simulator from the scenario's seed, so no state
-  leaks between points).  Results are merged back in submission order and
-  the curve's early-stop rule is applied wave-by-wave, so ``jobs=N``
-  output is byte-identical to the serial sweep — floats survive pickling
+* :class:`SweepExecutor` fans independent deterministic tasks — load
+  points, adversary campaign cells, the groups of a process-parallel
+  sharded run — across ``jobs`` ``spawn`` worker processes (each worker
+  imports :mod:`repro` fresh and builds its own simulator from the
+  task's seed).  Results come back in submission order, so ``jobs=N``
+  output is byte-identical to the serial run: floats survive pickling
   exactly.
-
-* :class:`ResultCache` is a content-addressed on-disk cache.  The key is
-  the SHA-256 of the canonically encoded scenario payload plus a
-  fingerprint of every ``repro`` source file, so editing any simulator
-  code invalidates all cached points while re-running an unchanged sweep
-  costs only file reads.  Values are JSON; Python's shortest-roundtrip
-  float ``repr`` guarantees cached results decode bit-identical.
-
-* :func:`bisect_peak` replaces the linear client sweep of the peak-
-  throughput methodology with a bounded bisection over the client grid
-  (closed-loop latency grows monotonically with the population), probing
-  several candidate points per round in parallel.
+* :class:`ResultCache` is a content-addressed on-disk cache keyed by the
+  canonically encoded task plus a fingerprint of every ``repro`` source
+  file, so editing any simulator code invalidates every cached point.
+* :func:`bisect_peak` locates the latency-cap crossing of a client grid
+  by bisection, probing several candidate points per round in parallel.
 """
 
 from __future__ import annotations
@@ -32,14 +20,15 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, is_dataclass
 from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
 
 from repro.common.encoding import encode
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, WorkerCrashError
 from repro.harness.metrics import RunResult
 
 DEFAULT_CACHE_ENV = "REPRO_CACHE_DIR"
@@ -149,17 +138,14 @@ class ResultCache:
 
 
 def _eval_point(task: dict[str, Any]) -> dict[str, Any]:
-    """Worker entry point: run one task, return plain data.
+    """Worker entry point: run one task, return its result.
 
-    Top-level function so the ``spawn`` context can pickle it by
-    reference; each worker imports the harness fresh and builds its own
-    simulator from the task's seed.  Tasks are load points unless their
-    ``kind`` says otherwise — adversary campaign cells dispatch to
-    :func:`repro.adversary.campaign._eval_cell` (the distinct ``kind``
-    value keeps their cache keys disjoint from load points').  Load-point
-    results carry the :class:`RunResult` fields plus a SHA-256 of the
-    run's commit trace, which the byte-identity tests compare across
-    serial/parallel runs.
+    Top-level so the ``spawn`` context can pickle it by reference.  The
+    task's ``kind`` picks the evaluator: ``load_point`` (the default)
+    returns the :class:`RunResult` fields plus the SHA-256 of the run's
+    commit trace, which the byte-identity tests compare across
+    serial/parallel runs; ``adversary_cell`` and ``shard_group``
+    dispatch to their own subsystems.
     """
     task = dict(task)
     kind = task.pop("kind", "load_point")
@@ -167,6 +153,10 @@ def _eval_point(task: dict[str, Any]) -> dict[str, Any]:
         from repro.adversary.campaign import _eval_cell
 
         return _eval_cell(task)
+    if kind == "shard_group":
+        from repro.shard.parallel import _eval_group
+
+        return _eval_group(task)
     if kind != "load_point":
         raise ConfigError(f"unknown sweep task kind {kind!r}")
 
@@ -177,18 +167,17 @@ def _eval_point(task: dict[str, Any]) -> dict[str, Any]:
     return {"result": asdict(result), "trace_sha256": trace_sha}
 
 
-def _result_from(value: dict[str, Any]) -> RunResult:
-    return RunResult(**value["result"])
-
-
 class SweepExecutor:
-    """Runs independent load points across processes, with caching.
+    """Runs independent tasks across processes, with optional caching.
 
     ``jobs=1`` evaluates inline (no subprocess); ``jobs>1`` uses a lazily
     created ``spawn`` process pool that is reused across calls until
     :meth:`close`.  Results always come back in submission order, and
     curves apply the early-stop rule wave-by-wave, so the merged output
-    is byte-identical to a serial sweep regardless of ``jobs``.
+    is byte-identical to a serial sweep regardless of ``jobs``.  A task's
+    exception surfaces with its own type; a worker process that dies
+    raises :class:`~repro.common.errors.WorkerCrashError` and discards the
+    pool, so the next call starts a fresh one.
     """
 
     def __init__(
@@ -227,18 +216,14 @@ class SweepExecutor:
 
     def run_points(self, tasks: list[dict[str, Any]]) -> list[RunResult]:
         """Evaluate load points; results in the same order as ``tasks``."""
-        return [_result_from(v) for v in self._run_raw(tasks)]
+        return [RunResult(**value["result"]) for value in self.run_tasks(tasks)]
 
     def run_tasks(self, tasks: list[dict[str, Any]]) -> list[dict[str, Any]]:
-        """Evaluate arbitrary-kind tasks, returning the raw worker dicts.
+        """Evaluate tasks of any ``kind``, returning the raw worker results.
 
-        Each task carries a ``kind`` key (default ``load_point``); the
-        kind participates in the cache key, so differently-kinded tasks
-        never collide.  Used by the adversary campaign runner.
+        The kind (default ``load_point``) participates in the cache key,
+        so differently-kinded tasks never collide.
         """
-        return self._run_raw(tasks)
-
-    def _run_raw(self, tasks: list[dict[str, Any]]) -> list[dict[str, Any]]:
         values: list[dict[str, Any] | None] = [None] * len(tasks)
         keys: list[str | None] = [None] * len(tasks)
         pending: list[int] = []
@@ -255,16 +240,33 @@ class SweepExecutor:
             if self.jobs == 1:
                 fresh = [_eval_point(tasks[i]) for i in pending]
             else:
-                pool = self._ensure_pool()
-                futures: list[Future] = [
-                    pool.submit(_eval_point, tasks[i]) for i in pending
-                ]
-                fresh = [future.result() for future in futures]
+                fresh = self._run_pool([tasks[i] for i in pending])
             for index, value in zip(pending, fresh):
                 values[index] = value
                 if self.cache is not None and keys[index] is not None:
                     self.cache.put(keys[index], value)
         return values  # type: ignore[return-value]
+
+    def _run_pool(self, tasks: list[dict[str, Any]]) -> list[dict[str, Any]]:
+        pool = self._ensure_pool()
+        try:
+            futures = [pool.submit(_eval_point, task) for task in tasks]
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            # A dead worker breaks the whole pool; drop it so the next
+            # call starts a fresh one instead of failing the same way.
+            # Stop the survivors first: one spawned while the pool was
+            # breaking is never terminated by it, and shutdown would
+            # wait on that worker forever.
+            self._pool = None
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
+            kinds = sorted({task.get("kind", "load_point") for task in tasks})
+            raise WorkerCrashError(
+                f"a sweep worker process died while running "
+                f"{'/'.join(kinds)} tasks; the pool was discarded"
+            ) from exc
 
     def run_curve(
         self,

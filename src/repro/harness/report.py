@@ -8,17 +8,6 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class PaperPoint:
-    """A number reported in the paper, for side-by-side comparison."""
-
-    label: str
-    value: float
-    unit: str = ""
-
 
 def format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
     """Plain fixed-width table with a title banner."""
@@ -48,10 +37,3 @@ def ktx(value_tps: float) -> str:
 
 def ms(value_seconds: float) -> str:
     return f"{value_seconds * 1000.0:.1f}"
-
-
-def print_banner(text: str) -> None:
-    print()
-    print("#" * 72)
-    print(f"# {text}")
-    print("#" * 72)

@@ -135,7 +135,7 @@ def _load_point_ex(
     is a :class:`~repro.shard.ShardedCluster` and the result carries
     aggregate metrics plus ``per_shard_tps``.  ``des_jobs > 1`` runs the
     sharded point on the process-parallel engine
-    (:mod:`repro.des.parallel`) instead — same numbers, the groups'
+    (:mod:`repro.shard.parallel`) instead — same numbers, the groups'
     simulators advance across worker processes.
 
     ``adversary`` injects Byzantine behaviour into the run: an
@@ -170,28 +170,10 @@ def _load_point_ex(
                 f"adversary must be an AdversaryConfig or scenario name, "
                 f"got {type(adversary).__name__}"
             )
-    if des_jobs > 1:
-        if shard is None or shard.shards < 2:
-            raise ConfigError(
-                "des_jobs > 1 decomposes the run per consensus group; "
-                "it requires a sharded topology (shards >= 2)"
-            )
-        from repro.des.parallel import parallel_sharded_load_point
-
-        return parallel_sharded_load_point(
-            experiment,
-            shard,
-            protocol=protocol,
-            clients=clients,
-            sim_time=sim_time,
-            warmup=warmup,
-            request_size=request_size,
-            reply_size=reply_size,
-            observability=observability,
-            pipeline=pipeline,
-            crypto=crypto,
-            client=client,
-            des_jobs=des_jobs,
+    if des_jobs > 1 and (shard is None or shard.shards < 2):
+        raise ConfigError(
+            "des_jobs > 1 decomposes the run per consensus group; "
+            "it requires a sharded topology (shards >= 2)"
         )
     if shard is not None and shard.shards > 1:
         return _sharded_load_point(
@@ -207,6 +189,7 @@ def _load_point_ex(
             pipeline=pipeline,
             crypto=crypto,
             client=client,
+            des_jobs=des_jobs,
         )
     cluster = DESCluster(
         experiment,
@@ -275,21 +258,25 @@ def _sharded_load_point(
     pipeline,
     crypto: str,
     client,
+    des_jobs: int = 1,
 ):
     """One closed-loop load point over G independent groups.
 
     Same methodology as the unsharded point — equal per-group cluster
     shape, the global client population routed by key — with aggregate
     throughput summed and latency percentiles computed over the merged
-    weighted samples.
+    weighted samples.  ``des_jobs > 1`` runs the groups on the
+    process-parallel engine (:mod:`repro.shard.parallel`); the numbers
+    are byte-identical either way.
+
+    Registries, tracers and flight rings are per-group; the one
+    observability shape a sharded point accepts is a bare journey
+    recorder, shared across groups by design (journey keys are globally
+    unique).
     """
     from repro.shard.cluster import ShardedCluster
     from repro.harness.workload import ShardedClosedLoopClients
 
-    # Registries, tracers and flight rings are per-group; the one
-    # observability shape a sharded load point accepts is a bare journey
-    # recorder, which is shared across groups by design (journey keys
-    # are globally unique).
     if observability is not None and not observability.journey_only():
         raise ConfigError(
             "observability collectors are per-group on a sharded run; "
@@ -297,16 +284,7 @@ def _sharded_load_point(
             "shard.shards == 1"
         )
     journey = observability.journey if observability is not None else None
-    sharded = ShardedCluster(
-        experiment,
-        shard=shard,
-        protocol=protocol,
-        crypto_mode=crypto,
-        pipeline=pipeline,
-        journey=journey,
-    )
-    pool = ShardedClosedLoopClients(
-        sharded,
+    workload = dict(
         num_clients=clients,
         request_size=request_size,
         reply_size=reply_size,
@@ -316,20 +294,46 @@ def _sharded_load_point(
         mode=client.mode if client is not None else "hub",
         client_config=client,
     )
-    sharded.start()
-    sharded.sim.schedule(0.01, pool.start)
-    sharded.run(until=sim_time)
-    sharded.assert_safety()
     duration = sim_time - warmup
-    per_shard_tps = [
-        sub.throughput.throughput(duration=duration) if sub is not None else 0.0
-        for sub in pool.pools
-    ]
-    latency = pool.merged_latency()
-    blocks = sum(
-        max(r.stats["blocks_committed"] for r in group.cluster.replicas)
-        for group in sharded.groups
-    )
+    if des_jobs > 1:
+        from repro.shard.parallel import ParallelShardedCluster
+
+        sharded = ParallelShardedCluster(
+            experiment,
+            shard=shard,
+            protocol=protocol,
+            crypto_mode=crypto,
+            pipeline=pipeline,
+            jobs=des_jobs,
+            journey=journey,
+        )
+        sharded.run_workload(sim_time=sim_time, **workload)
+        per_shard_tps = sharded.per_shard_tps(duration)
+        latency = sharded.merged_latency(window_start=warmup)
+        blocks = sharded.blocks_committed
+    else:
+        sharded = ShardedCluster(
+            experiment,
+            shard=shard,
+            protocol=protocol,
+            crypto_mode=crypto,
+            pipeline=pipeline,
+            journey=journey,
+        )
+        pool = ShardedClosedLoopClients(sharded, **workload)
+        sharded.start()
+        sharded.sim.schedule(0.01, pool.start)
+        sharded.run(until=sim_time)
+        sharded.assert_safety()
+        per_shard_tps = [
+            sub.throughput.throughput(duration=duration) if sub is not None else 0.0
+            for sub in pool.pools
+        ]
+        latency = pool.merged_latency()
+        blocks = sum(
+            max(r.stats["blocks_committed"] for r in group.cluster.replicas)
+            for group in sharded.groups
+        )
     result = RunResult(
         clients=clients,
         throughput_tps=sum(per_shard_tps),

@@ -29,7 +29,7 @@ never silently committed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.client.router import ShardRouter
 from repro.common.config import ExperimentConfig
@@ -37,6 +37,7 @@ from repro.consensus.messages import ClientRequest, ClientRequestBatch
 from repro.consensus.pipeline import PipelineConfig
 from repro.des.simulator import Simulator
 from repro.harness.des_runtime import DESCluster
+from repro.harness.metrics import LatencyRecorder
 from repro.network.simnet import shard_net_rng
 from repro.obs.complexity import ComplexityObservatory
 from repro.obs.observer import RunObservability
@@ -50,9 +51,10 @@ def make_misroute_guard(
 
     Client traffic whose routing key maps to a different shard is
     stripped (batches) or dropped (single requests) and counted on
-    ``group``; protocol traffic passes untouched.  Shared between the
-    serial :class:`ShardedCluster` and the process-parallel engine in
-    :mod:`repro.des.parallel` so both enforce identical discipline.
+    ``group``; protocol traffic passes untouched.  Installed by
+    :func:`build_group`, so the serial :class:`ShardedCluster` and the
+    process-parallel engine in :mod:`repro.shard.parallel` enforce
+    identical discipline.
     """
 
     def guard(replica_id: int, src: int, payload: Any) -> Any:
@@ -101,6 +103,146 @@ class ShardGroup:
     misrouted_messages: int = field(default=0, repr=False)
 
 
+def build_group(
+    experiment: ExperimentConfig,
+    shard: ShardConfig,
+    router: ShardRouter,
+    shard_id: int,
+    protocol: str,
+    crypto_mode: str,
+    pipeline: PipelineConfig | None,
+    sim: Simulator | None,
+    crypto: Any | None,
+    audit: bool,
+    metrics: bool,
+    journey: Any | None,
+) -> ShardGroup:
+    """One consensus group of a sharded deployment, ready to start.
+
+    Both engines build their groups here.  Each group gets its own
+    :class:`RunObservability` (so metric label spaces and auditors stay
+    group-local) but shares the one ``journey`` recorder passed in —
+    (client, seq) keys are globally unique, and one request's checkpoints
+    must land in one place regardless of which group served it.  With
+    G > 1 the group's network draws jitter from its own
+    :func:`shard_net_rng` stream, which decouples its event sequence from
+    every other group's.  ``sim=None`` and ``crypto=None`` give the group
+    a private simulator and crypto service, as a worker process needs.
+    """
+    observability = (
+        RunObservability(trace=False, metrics=metrics, audit=audit, journey=journey)
+        if audit or metrics or journey is not None
+        else None
+    )
+    group = ShardGroup(shard_id=shard_id, cluster=None)  # type: ignore[arg-type]
+    group.cluster = DESCluster(
+        experiment,
+        protocol=protocol,
+        crypto_mode=crypto_mode,
+        observability=observability,
+        pipeline=pipeline,
+        sim=sim,
+        crypto=crypto,
+        inbound_filter=(
+            make_misroute_guard(router, shard_id, group)
+            if shard.reject_misrouted
+            else None
+        ),
+        net_rng=(
+            shard_net_rng(experiment.seed, shard_id) if shard.shards > 1 else None
+        ),
+    )
+    group.observability = observability
+    return group
+
+
+def merged_metrics_snapshot(registries: Iterable[tuple[int, Any]]) -> dict[str, Any]:
+    """Per-shard metric views plus the cluster-wide aggregate.
+
+    ``registries`` yields ``(shard_id, registry)`` pairs in shard order.
+    ``shards`` maps each shard id to its registry's snapshot — per-group
+    label spaces never mix, which is what keeps identically named series
+    (every group has ``blocks_committed_total``) from colliding.
+    ``cluster`` is the one merged view: every group's series imported
+    under an extra ``shard=<gid>`` label, then aggregated with
+    ``shard``/``replica`` dropped, so each cluster series is exactly the
+    sum of the per-shard ones.
+    """
+    from repro.obs.metrics import MetricsRegistry
+
+    shards: dict[str, Any] = {}
+    combined = MetricsRegistry()
+    for shard_id, registry in registries:
+        shards[str(shard_id)] = registry.snapshot()
+        combined.merge_from(registry, shard=shard_id)
+    return {
+        "shards": shards,
+        "cluster": combined.aggregate(drop_labels=("shard", "replica")).snapshot(),
+    }
+
+
+@dataclass
+class GroupResult:
+    """Read-outs of one consensus group after a run."""
+
+    shard_id: int
+    events_processed: int
+    commit_trace: list[list[Any]]
+    blocks_committed: int
+    ops_committed: int
+    misrouted_ops: int
+    num_clients: int
+    pool_ops: int
+    latency_samples: list[tuple[float, float, int]]
+    audit_report: dict[str, Any] | None = None
+    registry: Any | None = field(default=None, repr=False)
+
+
+def read_group(group: ShardGroup, pool: Any | None) -> GroupResult:
+    """Package one finished group and its client sub-pool (or ``None``).
+
+    Both engines read their groups out through here, so ``repro shard``
+    renders one report from either.  On the serial engine the groups
+    share one simulator, so ``events_processed`` is that simulator's
+    total rather than the group's own.
+    """
+    cluster = group.cluster
+    observability = group.observability
+    return GroupResult(
+        shard_id=group.shard_id,
+        events_processed=cluster.sim.events_processed,
+        commit_trace=cluster.commit_trace(),
+        blocks_committed=max(
+            replica.stats["blocks_committed"] for replica in cluster.replicas
+        ),
+        ops_committed=cluster.total_ops_committed(),
+        misrouted_ops=group.misrouted_ops,
+        num_clients=pool.num_clients if pool is not None else 0,
+        pool_ops=pool.throughput.ops if pool is not None else 0,
+        latency_samples=list(pool.latency.samples) if pool is not None else [],
+        audit_report=(
+            observability.audit_report()
+            if observability is not None and observability.auditor is not None
+            else None
+        ),
+        registry=(
+            observability.registry
+            if observability is not None and observability.metrics_enabled
+            else None
+        ),
+    )
+
+
+def merged_latency(
+    results: Iterable[GroupResult], window_start: float = 0.0
+) -> LatencyRecorder:
+    """All groups' weighted samples in one recorder, shard order."""
+    merged = LatencyRecorder(window_start=window_start)
+    for result in results:
+        merged.samples.extend(tuple(sample) for sample in result.latency_samples)
+    return merged
+
+
 class ShardedCluster:
     """G independent consensus groups over one shared simulator.
 
@@ -113,7 +255,7 @@ class ShardedCluster:
     deterministic per-group stream (:func:`shard_net_rng`) instead of the
     shared simulator RNG.  That decouples the groups' event sequences
     from interleaving order, which is what lets the process-parallel
-    engine (:mod:`repro.des.parallel`) reproduce this serial run byte
+    engine (:mod:`repro.shard.parallel`) reproduce this serial run byte
     for byte.
     """
 
@@ -142,37 +284,20 @@ class ShardedCluster:
         )
         self.groups: list[ShardGroup] = []
         for shard_id in range(self.shard.shards):
-            # One RunObservability per group (so metric label spaces and
-            # auditors stay group-local), but a single shared journey
-            # recorder across all of them — (client, seq) keys are
-            # globally unique, and one request's checkpoints must land in
-            # one place regardless of which group served it.
-            observability = (
-                RunObservability(
-                    trace=False, metrics=metrics, audit=audit, journey=journey
-                )
-                if audit or metrics or journey is not None
-                else None
-            )
-            group = ShardGroup(shard_id=shard_id, cluster=None)  # type: ignore[arg-type]
-            group.cluster = DESCluster(
+            group = build_group(
                 experiment,
+                self.shard,
+                self.router,
+                shard_id,
                 protocol=protocol,
                 crypto_mode=crypto_mode,
-                observability=observability,
                 pipeline=pipeline,
                 sim=self.sim,
                 crypto=self.crypto,
-                inbound_filter=(
-                    self._guard(group) if self.shard.reject_misrouted else None
-                ),
-                net_rng=(
-                    shard_net_rng(experiment.seed, shard_id)
-                    if self.shard.shards > 1
-                    else None
-                ),
+                audit=audit,
+                metrics=metrics,
+                journey=journey,
             )
-            group.observability = observability
             if observe_complexity:
                 observatory = ComplexityObservatory(num_replicas=cluster.num_replicas)
                 observatory.disarm()
@@ -181,10 +306,6 @@ class ShardedCluster:
             self.groups.append(group)
 
     # ------------------------------------------------------------- routing
-
-    def _guard(self, group: ShardGroup) -> Callable[[int, int, Any], Any]:
-        """See :func:`make_misroute_guard` (shared with the parallel engine)."""
-        return make_misroute_guard(self.router, group.shard_id, group)
 
     @property
     def shards(self) -> int:
@@ -266,31 +387,14 @@ class ShardedCluster:
         return trace
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """Per-shard metric views plus the cluster-wide aggregate.
-
-        ``shards`` maps each shard id to its group registry's snapshot —
-        per-group label spaces never mix, which is what keeps identically
-        named series (every group has ``blocks_committed_total``) from
-        colliding.  ``cluster`` is the one merged view: every group's
-        series imported under an extra ``shard=<gid>`` label, then
-        aggregated with ``shard``/``replica`` dropped, so each cluster
-        series is exactly the sum of the per-shard ones.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
-        shards: dict[str, Any] = {}
-        combined = MetricsRegistry()
-        for group in self.groups:
-            observability = group.observability
-            if observability is None or not observability.metrics_enabled:
-                continue
-            registry = observability.registry
-            shards[str(group.shard_id)] = registry.snapshot()
-            combined.merge_from(registry, shard=group.shard_id)
-        return {
-            "shards": shards,
-            "cluster": combined.aggregate(drop_labels=("shard", "replica")).snapshot(),
-        }
+        """Per-shard metric views plus the cluster-wide aggregate
+        (see :func:`merged_metrics_snapshot`)."""
+        return merged_metrics_snapshot(
+            (group.shard_id, group.observability.registry)
+            for group in self.groups
+            if group.observability is not None
+            and group.observability.metrics_enabled
+        )
 
     def audit_reports(self) -> list[dict[str, Any]]:
         """One online-audit report per group (empty when not audited)."""

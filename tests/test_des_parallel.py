@@ -3,15 +3,14 @@
 Three engines must agree on a G=4 sharded run:
 
 * the serial :class:`~repro.shard.ShardedCluster` (one shared simulator);
-* the decomposed engine hosting every group in-process (``jobs=1``);
-* the decomposed engine across spawn worker processes (``jobs=4``),
-  with and without forced lookahead barriers.
+* the decomposed engine running every group task in-process (``jobs=1``);
+* the decomposed engine across spawn worker processes (``jobs=4``).
 
 "Agree" means byte-identity: commit-trace SHA-256, per-group simulator
 event counts, merged latency samples, journey blobs and the waterfall
 reconciliation — not approximate equality.  The suite runs the spawn
 paths sparingly (worker boot costs real seconds) and leans on the
-``jobs=1`` path, which exercises the identical worker-host code.
+``jobs=1`` path, which runs the identical group task inline.
 """
 
 from __future__ import annotations
@@ -21,14 +20,14 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.api import Scenario, latency_breakdown, load_point
+from repro.api import Scenario, latency_breakdown, load_point, throughput_curve
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.encoding import encode
 from repro.common.errors import ConfigError
-from repro.des.parallel import ParallelShardedCluster
 from repro.harness.workload import ShardedClosedLoopClients
 from repro.shard.cluster import ShardedCluster
 from repro.shard.config import ShardConfig
+from repro.shard.parallel import ParallelShardedCluster
 
 
 def _experiment(seed: int = 7) -> ExperimentConfig:
@@ -60,16 +59,13 @@ def run_serial(protocol: str, seed: int = 7):
     return sharded, pool
 
 
-def run_parallel(
-    protocol: str, jobs: int, seed: int = 7, lookahead: float | None = None
-) -> ParallelShardedCluster:
+def run_parallel(protocol: str, jobs: int, seed: int = 7) -> ParallelShardedCluster:
     engine = ParallelShardedCluster(
         _experiment(seed),
         shard=_shard(seed),
         protocol=protocol,
         crypto_mode="null",
         jobs=jobs,
-        lookahead=lookahead,
     )
     engine.run_workload(num_clients=64, sim_time=5.0, token_weight=1, warmup=1.0)
     return engine
@@ -108,16 +104,6 @@ class TestProcessEquivalence:
         assert four.per_group_events() == one.per_group_events()
         assert trace_sha(four.commit_trace()) == trace_sha(one.commit_trace())
         assert four.merged_latency().samples == one.merged_latency().samples
-
-    def test_windowed_run_changes_nothing(self):
-        # Forcing ~20 lookahead barriers must not perturb a single event:
-        # the window mechanism is pure pacing, never reordering.
-        free = run_parallel("marlin", jobs=1)
-        windowed = run_parallel("marlin", jobs=1, lookahead=0.25)
-        assert windowed.windows_run > 1
-        assert free.windows_run == 1
-        assert windowed.per_group_events() == free.per_group_events()
-        assert trace_sha(windowed.commit_trace()) == trace_sha(free.commit_trace())
 
     def test_excess_jobs_clamped_to_groups(self):
         engine = ParallelShardedCluster(
@@ -164,55 +150,20 @@ class TestScenarioWiring:
             ParallelShardedCluster(_experiment(), shard=ShardConfig(shards=1))
 
 
-# ---------------------------------------------------------------------------
-# The cross-shard event bus (the lookahead machinery proper)
+class TestNestedPools:
+    """A sweep pool whose tasks each start a ``des_jobs`` pool of their own."""
 
-
-def ring_handler(port, src_shard, payload) -> None:
-    """Token ring: forward the token to the next group until it dies."""
-    hops = payload["hops"]
-    if hops > 0:
-        port.emit((port.shard_id + 1) % 4, {"hops": hops - 1}, delay=0.05)
-
-
-class TestCrossShardBus:
-    def run_ring(self, jobs: int) -> ParallelShardedCluster:
-        engine = ParallelShardedCluster(
-            _experiment(),
-            shard=_shard(),
-            crypto_mode="null",
-            jobs=jobs,
-            lookahead=0.05,
-            bus_handler="tests.test_des_parallel.ring_handler",
-            bus_seed=((0.5, -1, 0, {"hops": 12}),),
+    def test_des_jobs_curve_through_sweep_matches_serial(self):
+        scenario = Scenario(
+            protocol="marlin", f=1, sim_time=4.0, warmup=1.0, shards=2,
+            des_jobs=2, seed=3,
         )
-        engine.run_workload(num_clients=64, sim_time=5.0, token_weight=1, warmup=1.0)
-        return engine
-
-    def test_ring_deterministic_across_jobs(self):
-        one = self.run_ring(jobs=1)
-        four = self.run_ring(jobs=4)
-        assert one.windows_run > 1
-        assert four.per_group_events() == one.per_group_events()
-        assert trace_sha(four.commit_trace()) == trace_sha(one.commit_trace())
-
-    def test_bus_events_reach_every_group(self):
-        # 12 hops from group 0 visit all four groups three times; each
-        # hop is one extra "xshard" event on the target group's sim.
-        quiet = run_parallel("marlin", jobs=1)
-        ringed = self.run_ring(jobs=1)
-        extra = {
-            gid: ringed.per_group_events()[gid] - quiet.per_group_events()[gid]
-            for gid in range(4)
-        }
-        # 13 token landings round the ring (hops 12 down to 0): group 0
-        # sees the seed plus hops 8, 4 and 0; groups 1-3 see 3 each.
-        assert extra == {0: 4, 1: 3, 2: 3, 3: 3}
-
-    def test_bus_seed_requires_handler(self):
-        with pytest.raises(ConfigError):
-            ParallelShardedCluster(
-                _experiment(),
-                shard=_shard(),
-                bus_seed=((0.5, -1, 0, {"hops": 1}),),
-            )
+        counts = [32, 64]
+        serial = throughput_curve(
+            scenario.with_overrides(des_jobs=1), counts, latency_cap=1e9
+        )
+        fanned = throughput_curve(scenario, counts, latency_cap=1e9, jobs=2)
+        assert len(serial) == len(counts)
+        assert [asdict(point) for point in fanned] == [
+            asdict(point) for point in serial
+        ]

@@ -7,11 +7,16 @@ serial/parallel/cached runs must be *identical*, byte for byte.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import time
+
 import pytest
 
 import repro.harness.parallel as parallel
 from repro.api import Scenario, throughput_curve
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, WorkerCrashError
 from repro.harness.parallel import ResultCache, SweepExecutor, bisect_peak, code_fingerprint
 from repro.harness.scenarios import _peak_throughput, _throughput_latency_curve
 
@@ -51,13 +56,41 @@ class TestExecutor:
     def test_parallel_traces_identical_to_serial(self):
         tasks = [{**BASE_TASK, "clients": clients} for clients in (64, 256)]
         with SweepExecutor(jobs=1) as executor:
-            inline = executor._run_raw(tasks)
+            inline = executor.run_tasks(tasks)
         with SweepExecutor(jobs=2) as executor:
-            fanned = executor._run_raw(tasks)
+            fanned = executor.run_tasks(tasks)
         # Full payload equality: RunResult fields and the SHA-256 of the
         # per-replica commit trace both survive the process boundary.
         assert fanned == inline
         assert all(v["trace_sha256"] for v in inline)
+
+
+class TestWorkerCrash:
+    def test_killed_worker_raises_named_error_and_executor_recovers(self):
+        task = {**BASE_TASK, "clients": 64}
+
+        def kill_first_worker(executor: SweepExecutor) -> None:
+            # Wait until every worker is up, then kill one mid-task.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                pool = executor._pool
+                pids = list(pool._processes) if pool is not None else []
+                if len(pids) == executor.jobs:
+                    os.kill(pids[0], signal.SIGKILL)
+                    return
+                time.sleep(0.005)
+
+        with SweepExecutor(jobs=2) as executor:
+            killer = threading.Thread(target=kill_first_worker, args=(executor,))
+            killer.start()
+            with pytest.raises(WorkerCrashError, match="load_point"):
+                executor.run_points([task, task])
+            killer.join()
+            # The broken pool is gone; the next call gets a fresh one.
+            assert executor._pool is None
+            recovered = executor.run_points([task])
+        with SweepExecutor(jobs=1) as inline:
+            assert recovered == inline.run_points([task])
 
 
 class TestResultCache:

@@ -310,9 +310,9 @@ class TestShardedFacade:
     def test_sharded_traces_identical_regardless_of_jobs(self):
         tasks = [{**SHARD_TASK, "clients": clients} for clients in (64, 128)]
         with SweepExecutor(jobs=1) as executor:
-            inline = executor._run_raw(tasks)
+            inline = executor.run_tasks(tasks)
         with SweepExecutor(jobs=2) as executor:
-            fanned = executor._run_raw(tasks)
+            fanned = executor.run_tasks(tasks)
         # Byte-identity across process fan-out: RunResult fields and the
         # SHA-256 over the [shard, replica, height, digest, time] trace.
         assert fanned == inline
