@@ -49,11 +49,7 @@ class UnknownPeer(NetworkError):
 
 
 class StorageError(ReproError):
-    """A storage-engine failure (corrupt record, closed store, ...)."""
-
-
-class CorruptRecord(StorageError):
-    """A persisted record failed its checksum or framing validation."""
+    """A storage-engine failure (bad configuration, closed store, ...)."""
 
 
 class StoreClosed(StorageError):

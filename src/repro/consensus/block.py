@@ -199,29 +199,80 @@ def make_child(
     )
 
 
+class KeySet:
+    """An exact set of ``(client, sequence)`` keys in O(clients) memory.
+
+    Exactly-once execution needs every executed key remembered, but
+    client sequence numbers are dense: each client numbers its requests
+    consecutively.  PBFT-style session tables exploit this by keeping a
+    per-client watermark instead of a key log; this class keeps the same
+    answers as a plain ``set``.  Each client owns one contiguous run
+    ``[start, end)``, begun at its first key; a key that lands outside
+    its client's run (a gap, an out-of-order arrival, a key below the
+    run) goes to a sparse ``set``, and sparse keys move into the run as
+    soon as its ``end`` reaches them.  Dense streams therefore leave the
+    sparse set empty and cost one run per client.
+    """
+
+    __slots__ = ("_runs", "_sparse")
+
+    def __init__(self) -> None:
+        self._runs: dict[int, list[int]] = {}
+        self._sparse: set[tuple[int, int]] = set()
+
+    def add(self, key: tuple[int, int]) -> bool:
+        """Insert ``key``; True if it was not already present."""
+        client, seq = key
+        run = self._runs.get(client)
+        if run is None:
+            self._runs[client] = run = [seq, seq]
+        elif seq != run[1]:
+            if run[0] <= seq < run[1] or key in self._sparse:
+                return False
+            self._sparse.add(key)
+            return True
+        seq += 1
+        sparse = self._sparse
+        if sparse:
+            while (client, seq) in sparse:
+                sparse.remove((client, seq))
+                seq += 1
+        run[1] = seq
+        return True
+
+    def __contains__(self, key: tuple[int, int]) -> bool:
+        run = self._runs.get(key[0])
+        if run is not None and run[0] <= key[1] < run[1]:
+            return True
+        return key in self._sparse
+
+    def clear(self) -> None:
+        self._runs.clear()
+        self._sparse.clear()
+
+
 @dataclass
 class BatchPool:
     """A mempool of pending operations, drained into block batches.
 
-    ``max_batch`` counts *weighted* operations.  Committed operations are
-    pruned from the pending queue (they may sit in several replicas'
-    pools under leader rotation) but stay in the dedup set so a later
-    leader cannot re-admit them.
+    ``max_batch`` counts *weighted* operations.  Every admitted key is
+    remembered in a :class:`KeySet`, so a later leader cannot re-admit
+    an operation even after it committed and was pruned from the
+    pending queue (it may sit in several replicas' pools under leader
+    rotation).  For dense client sequences that memory is one
+    ``[start, end)`` run per client, whatever the run length.
     """
 
     max_batch: int = 400
     _pending: list[Operation] = field(default_factory=list)
-    _seen: set[tuple[int, int]] = field(default_factory=set)
+    _seen: KeySet = field(default_factory=KeySet)
     _staged: tuple[Operation, ...] | None = None
     staged_epoch: int = 0
 
     def add(self, op: Operation) -> bool:
         """Queue an operation; duplicate (client, seq) pairs are dropped."""
-        key = op._key
-        seen = self._seen
-        if key in seen:
+        if not self._seen.add(op._key):
             return False
-        seen.add(key)
         self._pending.append(op)
         return True
 
@@ -231,16 +282,13 @@ class BatchPool:
         One call per client batch instead of one per operation — the DES
         workload generator delivers hundreds of operations per message.
         """
-        seen = self._seen
+        see = self._seen.add
         pending = self._pending
         admitted = False
         for op in ops:
-            key = op._key
-            if key in seen:
-                continue
-            seen.add(key)
-            pending.append(op)
-            admitted = True
+            if see(op._key):
+                pending.append(op)
+                admitted = True
         return admitted
 
     def next_batch(self) -> tuple[Operation, ...]:

@@ -14,15 +14,12 @@ latencies are handed to the metrics sink.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable
 
 from repro.common.errors import SafetyViolation
-from repro.consensus.block import Block, Operation
+from repro.consensus.block import Block, KeySet, Operation
 from repro.consensus.blocktree import BlockTree
 from repro.crypto.hashing import Digest
-
-_key_of = attrgetter("_key")
 
 
 class Ledger:
@@ -39,7 +36,7 @@ class Ledger:
         self._on_commit_block = on_commit_block
         self._committed: list[Digest] = [tree.genesis.digest]
         self._committed_set: set[Digest] = {tree.genesis.digest}
-        self._executed_keys: set[tuple[int, int]] = set()
+        self._executed_keys = KeySet()
         self._ops_committed = 0
 
     def set_executor(self, on_execute: Callable[[Block, Operation], None]) -> None:
@@ -94,8 +91,7 @@ class Ledger:
         self._committed.append(block.digest)
         self._committed_set.add(block.digest)
         for op in block.operations:
-            if op.key() not in self._executed_keys:
-                self._executed_keys.add(op.key())
+            if self._executed_keys.add(op._key):
                 self._ops_committed += op.weight
 
     def install_snapshot(self, head: Block) -> None:
@@ -104,8 +100,10 @@ class Ledger:
         Used by checkpoint-based state transfer: the application state
         arrives separately; the ledger only needs to know where the
         committed branch now ends.  History below ``head`` is treated as
-        committed-but-unknown (operation dedup restarts at the snapshot
-        boundary, as in checkpointed BFT systems generally).
+        committed-but-unknown, and the executed-key set is cleared: dedup
+        restarts at the snapshot boundary, as in checkpointed BFT systems
+        generally, and each client's run begins again at the first key
+        committed above ``head``.
         """
         if self._committed_set and head.digest in self._committed_set:
             return
@@ -136,36 +134,17 @@ class Ledger:
             raise SafetyViolation(
                 f"block {block!r} conflicts with committed head {self.committed_head!r}"
             )
-        executed = self._executed_keys
+        is_new = self._executed_keys.add
         on_execute = self._on_execute
         on_commit_block = self._on_commit_block
         for node in path:
             self._committed.append(node.digest)
             self._committed_set.add(node.digest)
-            operations = node.operations
-            # With nothing to run per op, a block whose keys are all new
-            # (the failure-free case) is committed whole.  A tuple, not a
-            # set: a throwaway hash table per block and replica costs RSS.
-            keys = tuple(map(_key_of, operations)) if on_execute is None else None
-            if keys is not None and executed.isdisjoint(keys):
-                size = len(executed)
-                executed.update(keys)
-                if len(executed) - size == len(keys):
-                    self._ops_committed += node.num_ops
-                else:
-                    # A key repeated within the block counts once, at the
-                    # weight of its first occurrence (written last here).
-                    self._ops_committed += sum(
-                        {op._key: op.weight for op in reversed(operations)}.values()
-                    )
-            else:
-                for op in operations:
-                    # Exactly-once execution: an operation re-proposed by a
-                    # later leader (possible under rotation) executes once.
-                    key = op._key
-                    if key in executed:
-                        continue
-                    executed.add(key)
+            for op in node.operations:
+                # Exactly-once execution: an operation re-proposed by a
+                # later leader (possible under rotation), or repeated within
+                # a block, executes and counts once.
+                if is_new(op._key):
                     self._ops_committed += op.weight
                     if on_execute is not None:
                         on_execute(node, op)

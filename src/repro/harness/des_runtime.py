@@ -22,7 +22,6 @@ from typing import Any, Callable
 
 from repro.common.config import ExperimentConfig
 from repro.common.errors import ConfigError
-from repro.consensus.block import Block
 from repro.consensus.context import NodeContext
 from repro.consensus.costs import PaperCostModel, ZeroCostModel
 from repro.consensus.crypto_service import (
@@ -316,16 +315,3 @@ class DESCluster:
             [replica_id, height, digest, repr(when)]
             for replica_id, height, digest, when in self.auditor.commits
         ]
-
-
-def add_commit_listener(
-    cluster: DESCluster, listener: Callable[[int, Block, float], None]
-) -> None:
-    """Subscribe ``listener(replica_id, block, time)`` to every replica."""
-    for replica in cluster.replicas:
-        replica_id = replica.id
-
-        def bound(block: Block, when: float, _rid: int = replica_id) -> None:
-            listener(_rid, block, when)
-
-        replica.commit_listeners.append(bound)

@@ -200,20 +200,6 @@ class TestHarnessHelpers:
         reached = cluster.run_until(lambda: False, deadline=0.3)
         assert not reached
 
-    def test_add_commit_listener(self, fast_experiment):
-        from repro.harness.des_runtime import DESCluster, add_commit_listener
-        from repro.harness.workload import ClosedLoopClients
-
-        cluster = DESCluster(fast_experiment, protocol="marlin", crypto_mode="null")
-        pool = ClosedLoopClients(cluster, num_clients=8, token_weight=1)
-        seen: list[tuple[int, int]] = []
-        add_commit_listener(cluster, lambda rid, block, when: seen.append((rid, block.height)))
-        cluster.start()
-        cluster.sim.schedule(0.01, pool.start)
-        cluster.run(until=2.0)
-        assert seen
-        assert {rid for rid, _ in seen} == {0, 1, 2, 3}
-
     def test_leader_replica_tracks_view(self, fast_experiment):
         from repro.harness.des_runtime import DESCluster
 
