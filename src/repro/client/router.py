@@ -45,6 +45,10 @@ class ShardRouter:
         self.scheme = scheme
         self.seed = seed
         self._salt = encode(["shard-router", seed])
+        # client id -> shard for the hash scheme, filled on first use: a
+        # client's shard never changes, and every replica's misroute
+        # guard asks once per operation it receives.
+        self._client_shards: dict[int, int] = {}
 
     # ------------------------------------------------------------- routing
 
@@ -68,7 +72,11 @@ class ShardRouter:
             return 0
         if self.scheme == "modulo":
             return client_id % self.shards
-        return self.shard_of(self.key_of_client(client_id))
+        shard = self._client_shards.get(client_id)
+        if shard is None:
+            shard = self.shard_of(self.key_of_client(client_id))
+            self._client_shards[client_id] = shard
+        return shard
 
     # ------------------------------------------------------------ utilities
 

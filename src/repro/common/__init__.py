@@ -20,7 +20,6 @@ from repro.common.types import (
     View,
     quorum_size,
     max_faulty,
-    replica_set,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "View",
     "max_faulty",
     "quorum_size",
-    "replica_set",
 ]

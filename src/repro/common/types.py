@@ -42,13 +42,6 @@ def quorum_size(n: int) -> int:
     return n - max_faulty(n)
 
 
-def replica_set(n: int) -> list[ReplicaId]:
-    """Return the full list of replica ids for an ``n``-replica system."""
-    if n < 4:
-        raise ConfigError(f"BFT needs n >= 4 replicas (n = 3f+1, f >= 1); got {n}")
-    return [ReplicaId(i) for i in range(n)]
-
-
 def validate_bft_size(n: int, f: int) -> None:
     """Raise :class:`ConfigError` unless ``n >= 3f + 1``."""
     if f < 0:

@@ -23,10 +23,12 @@ still owns its ``operations`` tuple, so digests stay self-contained.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.common.errors import InvalidBlock
+from repro.common.errors import EncodingError, InvalidBlock
 from repro.crypto.hashing import Digest, digest_of, short_hex
 
 OPERATION_OVERHEAD = 16
@@ -71,9 +73,6 @@ class Operation:
         """Deduplication key: (client, sequence)."""
         return self._key
 
-    def encodable(self) -> list:
-        return [self.client_id, self.sequence, self.payload, self.weight]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operation):
             return NotImplemented
@@ -91,6 +90,22 @@ class Operation:
             f"Operation(client_id={self.client_id}, sequence={self.sequence}, "
             f"payload={self.payload!r}, weight={self.weight})"
         )
+
+
+# Layout of the canonical encoding (repro.common.encoding) that
+# ``Block.digest`` hashes: the list-of-7 header, link (``n`` or 32 tagged
+# bytes), the three tagged header ints and the ops-list header form one
+# pack; each op is a list-of-4 header, tagged client and sequence, the
+# payload's length header, the payload, then the tagged weight.
+_T_LIST = ord("l")
+_T_INT = ord("i")
+_T_BYTES = ord("b")
+_T_NONE = ord("n")
+_HEAD_UNLINKED = struct.Struct(">BIBBqBqBqBI")
+_HEAD_LINKED = struct.Struct(">BIBI32sBqBqBqBI")
+_OP_HEAD = struct.Struct(">BIBqBqBI")
+_TAGGED_INT = struct.Struct(">Bq")
+_BYTES_HEAD = struct.Struct(">BI")
 
 
 @dataclass(frozen=True)
@@ -126,17 +141,51 @@ class Block:
 
     @cached_property
     def digest(self) -> Digest:
-        return digest_of(
-            [
-                self.parent_link,
-                self.parent_view,
-                self.view,
-                self.height,
-                [[op.client_id, op.sequence, op.payload, op.weight] for op in self.operations],
-                self.justify_digest,
-                self.proposer,
-            ]
-        )
+        """SHA-256 of the block's canonical encoding.
+
+        Byte-identical to ``digest_of([pl, pview, view, height, [[client,
+        seq, payload, weight], ...], justify, proposer])``, and raises
+        :class:`EncodingError` wherever that does (an int outside int64);
+        ``tests/test_fused_digests.py`` pins the equivalence.  The fields
+        are packed straight into one hash instead of building per-op
+        lists for the generic encoder: every proposal and every replica
+        receiving it digests the whole batch.
+        """
+        operations = self.operations
+        link = self.parent_link
+        justify = self.justify_digest
+        pack_op = _OP_HEAD.pack
+        pack_int = _TAGGED_INT.pack
+        header = (_T_INT, self.parent_view, _T_INT, self.view, _T_INT, self.height)
+        try:
+            if link is None:
+                head = _HEAD_UNLINKED.pack(
+                    _T_LIST, 7, _T_NONE, *header, _T_LIST, len(operations)
+                )
+            else:
+                head = _HEAD_LINKED.pack(
+                    _T_LIST, 7, _T_BYTES, 32, link, *header, _T_LIST, len(operations)
+                )
+            state = hashlib.sha256(head)
+            update = state.update
+            for op in operations:
+                payload = op.payload
+                update(
+                    pack_op(
+                        _T_LIST, 4, _T_INT, op.client_id, _T_INT, op.sequence,
+                        _T_BYTES, len(payload),
+                    )
+                )
+                update(payload)
+                update(pack_int(_T_INT, op.weight))
+            update(_BYTES_HEAD.pack(_T_BYTES, len(justify)))
+            update(justify)
+            update(pack_int(_T_INT, self.proposer))
+        except struct.error as exc:
+            raise EncodingError(
+                f"integer out of 64-bit range in block v={self.view} h={self.height}"
+            ) from exc
+        return state.digest()
 
     @cached_property
     def num_ops(self) -> int:

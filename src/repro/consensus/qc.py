@@ -20,14 +20,16 @@ view-change rule without shipping operation payloads.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from repro.common.errors import InvalidQC
+from repro.common.errors import EncodingError, InvalidQC
 from repro.common.encoding import encode
 from repro.consensus.block import Block
-from repro.crypto.hashing import Digest, digest_of, short_hex
+from repro.crypto.hashing import Digest, short_hex
 
 
 class Phase(Enum):
@@ -100,13 +102,52 @@ class BlockSummary:
         return f"<{kind}sum v={self.view} h={self.height} {short_hex(self.digest)}>"
 
 
+# ``encode([tag, phase.value, view, summary.encodable()])`` is a constant
+# (tag, phase) prefix, one fixed-width run of tagged fields — view, the
+# list-of-6 header, the 32-byte digest, view, height, parent view — and
+# the two bool tag bytes.  Votes and QC digests pack that run directly.
+_SUMMARY_FIELDS = struct.Struct(">BqBIBI32sBqBqBq")
+_T_INT = ord("i")
+_T_LIST = ord("l")
+_T_BYTES = ord("b")
+_BOOL_TAGS = {
+    (virtual, in_view): encode(virtual) + encode(in_view)
+    for virtual in (False, True)
+    for in_view in (False, True)
+}
+
+
+def _tagged_prefix(tag: str, phase: Phase) -> bytes:
+    return struct.pack(">BI", _T_LIST, 4) + encode(tag) + encode(phase.value)
+
+
+_VOTE_PREFIX = {phase: _tagged_prefix("vote", phase) for phase in Phase}
+_QC_PREFIX = {phase: hashlib.sha256(_tagged_prefix("qc", phase)) for phase in Phase}
+
+
+def _summary_fields(view: int, block: BlockSummary, _pack=_SUMMARY_FIELDS.pack) -> bytes:
+    """``view`` and ``block.encodable()`` as they follow a (tag, phase) prefix."""
+    try:
+        fields = _pack(
+            _T_INT, view, _T_LIST, 6, _T_BYTES, 32, block.digest,
+            _T_INT, block.view, _T_INT, block.height, _T_INT, block.parent_view,
+        )
+    except struct.error as exc:
+        raise EncodingError(f"integer out of 64-bit range in vote for view {view}") from exc
+    return fields + _BOOL_TAGS[block.is_virtual, block.justify_in_view]
+
+
 def vote_payload(phase: Phase, view: int, block: BlockSummary) -> bytes:
     """The byte string a vote signs: binds phase, formation view, block.
 
     Every voter for the same (phase, view, block) signs identical bytes,
     which is what lets ``t`` partial signatures combine into one QC.
+    Byte-identical to ``encode(["vote", phase.value, view,
+    block.encodable()])`` (pinned by ``tests/test_fused_digests.py``),
+    built from a precomputed prefix and one struct pack: every replica
+    builds or checks one payload per vote.
     """
-    return encode(["vote", phase.value, view, block.encodable()])
+    return _VOTE_PREFIX[phase] + _summary_fields(view, block)
 
 
 @dataclass(frozen=True)
@@ -156,7 +197,11 @@ class QuorumCertificate:
 
     @property
     def digest(self) -> Digest:
-        return digest_of(["qc", self.phase.value, self.view, self.block.encodable()])
+        """Byte-identical to ``digest_of(["qc", phase.value, view,
+        block.encodable()])``; packed like :func:`vote_payload`."""
+        state = _QC_PREFIX[self.phase].copy()
+        state.update(_summary_fields(self.view, self.block))
+        return state.digest()
 
     def __repr__(self) -> str:
         return (

@@ -24,13 +24,6 @@ def format_table(title: str, headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def ratio_str(a: float, b: float) -> str:
-    """Format ``a`` relative to ``b`` as a signed percentage."""
-    if b == 0:
-        return "n/a"
-    return f"{(a - b) / b * 100.0:+.1f}%"
-
-
 def ktx(value_tps: float) -> str:
     return f"{value_tps / 1000.0:.2f}"
 

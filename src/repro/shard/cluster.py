@@ -54,33 +54,31 @@ def make_misroute_guard(
     ``group``; protocol traffic passes untouched.  Installed by
     :func:`build_group`, so the serial :class:`ShardedCluster` and the
     process-parallel engine in :mod:`repro.shard.parallel` enforce
-    identical discipline.
+    identical discipline.  A batch costs one pass and one memoised
+    router lookup per operation; the rejected weight is derived from
+    that pass rather than by routing the foreign operations again.
     """
+    shard_of_client = router.shard_of_client
 
     def guard(replica_id: int, src: int, payload: Any) -> Any:
         if isinstance(payload, ClientRequest):
-            if router.shard_of_client(payload.client_id) == shard_id:
+            if shard_of_client(payload.client_id) == shard_id:
                 return payload
             group.misrouted_ops += payload.weight
             group.misrouted_messages += 1
             return None
         if isinstance(payload, ClientRequestBatch):
-            native = tuple(
-                op
-                for op in payload.operations
-                if router.shard_of_client(op.client_id) == shard_id
-            )
-            if len(native) == len(payload.operations):
+            operations = payload.operations
+            native = [op for op in operations if shard_of_client(op.client_id) == shard_id]
+            if len(native) == len(operations):
                 return payload
-            group.misrouted_ops += sum(
-                op.weight
-                for op in payload.operations
-                if router.shard_of_client(op.client_id) != shard_id
+            group.misrouted_ops += sum(op.weight for op in operations) - sum(
+                op.weight for op in native
             )
             group.misrouted_messages += 1
             if not native:
                 return None
-            return ClientRequestBatch(operations=native)
+            return ClientRequestBatch(operations=tuple(native))
         return payload
 
     return guard

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.harness.report import format_table, ktx, ms, ratio_str
+from repro.harness.report import format_table, ktx, ms
 
 
 class TestReportHelpers:
@@ -20,11 +20,6 @@ class TestReportHelpers:
 
     def test_ms(self):
         assert ms(0.1234) == "123.4"
-
-    def test_ratio(self):
-        assert ratio_str(110, 100) == "+10.0%"
-        assert ratio_str(90, 100) == "-10.0%"
-        assert ratio_str(1, 0) == "n/a"
 
 
 class TestCliParser:

@@ -11,7 +11,7 @@ from repro.common.config import (
     NetworkProfile,
 )
 from repro.common.errors import ConfigError
-from repro.common.types import max_faulty, quorum_size, replica_set, validate_bft_size
+from repro.common.types import max_faulty, quorum_size, validate_bft_size
 
 
 class TestQuorumMath:
@@ -31,13 +31,6 @@ class TestQuorumMath:
             n = 3 * f + 1
             q = quorum_size(n)
             assert 2 * q - n >= f + 1
-
-    def test_replica_set(self):
-        assert replica_set(4) == [0, 1, 2, 3]
-
-    def test_replica_set_too_small(self):
-        with pytest.raises(ConfigError):
-            replica_set(3)
 
     def test_validate_bft_size(self):
         validate_bft_size(4, 1)
