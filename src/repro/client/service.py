@@ -250,7 +250,7 @@ class ClientService:
         # Journey "executed" checkpoint: charged once per request, on the
         # proposer (the replica whose reply path the client's certificate
         # clock started from).  Only sampled keys cost anything.
-        journey = getattr(getattr(self.replica, "obs", None), "journey", None)
+        journey = self.replica.obs.journey
         if journey is not None and block.proposer == self.replica.id:
             journey.record_ops(block.operations, CK_EXECUTED, now)
         for op in block.operations:

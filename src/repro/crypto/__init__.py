@@ -13,9 +13,7 @@ crypto libraries, we provide:
   interpolation exactly as BLS threshold signatures do in the exponent);
 * :mod:`repro.crypto.multisig` — quorum multi-signatures (a signature
   bundle with a signer bitmap), the "group of n signatures" instantiation
-  the paper says real deployments prefer;
-* :mod:`repro.crypto.cost_model` — the CPU cost accounting used by the
-  discrete-event simulator to charge sign/verify/pairing time.
+  the paper says real deployments prefer.
 
 These primitives are simulations adequate for a research artifact: they are
 deterministic, sized realistically, and unforgeable by any party that does

@@ -205,18 +205,11 @@ class DESCluster:
             self.replicas.append(replica)
             self.network.register(replica_id, self._delivery_adapter(replica_id))
 
-        online = getattr(observability, "auditor", None)
-        if online is not None:
-            online.configure(
-                cluster.num_replicas,
-                cluster.quorum,
+        if observability is not None:
+            observability.arm_auditor(
+                self.replicas, self.network, cluster.num_replicas, cluster.quorum,
                 qc_validator=self.crypto.qc_is_valid,
             )
-            self.network.add_tap(online.tap)
-            for replica_id, replica in enumerate(self.replicas):
-                replica.commit_listeners.append(
-                    self._online_commit_listener(online, replica_id)
-                )
 
     @staticmethod
     def _make_crypto(mode: str, num_replicas: int, quorum: int) -> CryptoService:
@@ -227,13 +220,6 @@ class DESCluster:
         if mode == "null":
             return NullCryptoService(num_replicas, quorum)
         raise ConfigError(f"unknown crypto mode {mode!r}")
-
-    @staticmethod
-    def _online_commit_listener(online: Any, replica_id: int) -> Callable[[Any, float], None]:
-        def listener(block: Any, when: float) -> None:
-            online.on_commit_block(replica_id, block, when)
-
-        return listener
 
     def _delivery_adapter(self, replica_id: int) -> Callable[[int, Any], None]:
         process = self.processes[replica_id]

@@ -90,11 +90,12 @@ class _QCSeen:
 class OnlineAuditor:
     """Streaming invariant checker over the cluster-wide event stream.
 
-    Construct unparameterised, then let the runtime call
-    :meth:`configure` once the cluster shape is known (both
-    :class:`~repro.harness.des_runtime.DESCluster` and
-    :class:`~repro.runtime.cluster.LocalCluster` do this when their
-    observability carries an auditor).
+    Construct unparameterised; the per-replica
+    :class:`~repro.obs.observer.FlightRecordingObs` subscribers feed it
+    protocol events, and
+    :meth:`~repro.obs.observer.RunObservability.arm_auditor` (called by
+    both runtimes) sizes it with :meth:`configure`, taps the transport
+    and adds a commit listener per replica.
     """
 
     def __init__(self, window: int = 24) -> None:

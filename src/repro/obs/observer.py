@@ -6,6 +6,12 @@ semantic hooks on its :class:`ReplicaObs` (``phase_begin``,
 :data:`NULL_OBS`, whose hooks are all no-ops, so un-observed runs pay one
 no-op method call per instrumented site and allocate nothing.
 
+The observers are flat subscribers — :class:`JourneyObs`,
+:class:`FlightRecordingObs` and :class:`ReplicaObs` (metrics + spans) —
+each overriding only the hooks it records.  A replica carries the one
+subscriber itself, or a :class:`FanOutObs` that resolved each hook to its
+subscribers when it was built.
+
 :class:`RunObservability` bundles one metrics registry, one tracer and
 the network counters for a whole cluster run, plus the export helpers the
 CLI uses (JSON snapshot, Prometheus text, Chrome trace).
@@ -14,6 +20,8 @@ CLI uses (JSON snapshot, Prometheus text, Chrome trace).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
+from functools import partial
 from typing import Any
 
 from repro.obs.audit import OnlineAuditor
@@ -46,9 +54,15 @@ PHASES = ("prepare", "pre-commit", "commit")
 
 
 class NullReplicaObs:
-    """No-op observer; the default for un-observed replicas."""
+    """No-op observer; the default for un-observed replicas.
+
+    Also the base of every subscriber: a subscriber overrides only the
+    hooks it records, and the rest stay these no-ops.
+    """
 
     enabled = False
+    #: The run's journey recorder when a journey subscriber is attached.
+    journey: JourneyRecorder | None = None
 
     def bind(self, ctx: Any) -> None: ...
 
@@ -268,25 +282,18 @@ class ReplicaObs(NullReplicaObs):
 
 
 class FlightRecordingObs(NullReplicaObs):
-    """Observer that records flight events and feeds the online auditor.
+    """Subscriber that records flight events and feeds the online auditor.
 
-    Wraps an inner observer (metrics + spans, or :data:`NULL_OBS` when
-    only the recorder is wanted) so one ``attach_observer`` call wires a
-    replica into all three layers.  ``message_handled`` is deliberately
-    *not* recorded: the ring holds semantic protocol events, and skipping
-    the per-message hot path keeps the recorder cheap enough to stay on.
+    ``message_handled`` is deliberately *not* recorded: the ring holds
+    semantic protocol events, and skipping the per-message hot path keeps
+    the recorder cheap enough to stay on.  ``ops_proposed`` is left to the
+    journey layer (the ring keys on the block digest, :data:`EV_PROPOSE`),
+    and ``phase_end`` to the spans.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        inner: NullReplicaObs,
-        recorder: FlightRecorder,
-        auditor: OnlineAuditor | None = None,
-    ) -> None:
-        self._inner = inner
-        self._inner_enabled = inner.enabled
+    def __init__(self, recorder: FlightRecorder, auditor: OnlineAuditor | None = None) -> None:
         self.recorder = recorder
         self.auditor = auditor
         self._replica = recorder.replica_id
@@ -294,58 +301,32 @@ class FlightRecordingObs(NullReplicaObs):
 
     def bind(self, ctx: Any) -> None:
         self._now = lambda: ctx.now
-        self._inner.bind(ctx)
-
-    # Hot path: counted by the inner observer only, never recorded.
-    def message_handled(self, payload: Any) -> None:
-        if self._inner_enabled:
-            self._inner.message_handled(payload)
 
     def vote_sent(self, phase: Any) -> None:
         self.recorder.record(
             self._now(), EV_VOTE, -1, detail=getattr(phase, "value", "") or ""
         )
-        if self._inner_enabled:
-            self._inner.vote_sent(phase)
 
     def view_entered(self, view: int, reason: str) -> None:
         now = self._now()
         self.recorder.record(now, EV_VIEW, view, detail=reason)
         if self.auditor is not None:
             self.auditor.on_view_entered(self._replica, view, now)
-        if self._inner_enabled:
-            self._inner.view_entered(view, reason)
 
     def view_timeout(self, view: int) -> None:
         self.recorder.record(self._now(), EV_TIMEOUT, view)
-        if self._inner_enabled:
-            self._inner.view_timeout(view)
 
     def view_change_event(self, name: str, view: int, **meta: Any) -> None:
         self.recorder.record(self._now(), EV_VIEW_CHANGE, view, detail=name)
-        if self._inner_enabled:
-            self._inner.view_change_event(name, view, **meta)
 
     def view_change_done(self, view: int) -> None:
         self.recorder.record(self._now(), EV_VIEW_CHANGE, view, detail="done")
-        if self._inner_enabled:
-            self._inner.view_change_done(view)
 
     def sync_requested(self, attempt: int) -> None:
         self.recorder.record(self._now(), EV_SYNC, -1, detail=str(attempt))
-        if self._inner_enabled:
-            self._inner.sync_requested(attempt)
 
     def block_proposed(self, digest: bytes, view: int, height: int) -> None:
         self.recorder.record(self._now(), EV_PROPOSE, view, height, digest)
-        if self._inner_enabled:
-            self._inner.block_proposed(digest, view, height)
-
-    def ops_proposed(self, block: Any) -> None:
-        # Not recorded: the ring keys on the block digest (EV_PROPOSE),
-        # per-op attribution is the journey layer's job.
-        if self._inner_enabled:
-            self._inner.ops_proposed(block)
 
     def phase_begin(self, digest: bytes, phase: str, view: int, height: int | None = None) -> None:
         now = self._now()
@@ -353,12 +334,6 @@ class FlightRecordingObs(NullReplicaObs):
         self.recorder.record(now, EV_PHASE, view, h, digest, phase)
         if self.auditor is not None and phase == "prepare":
             self.auditor.on_prepare(self._replica, digest, view, h, now)
-        if self._inner_enabled:
-            self._inner.phase_begin(digest, phase, view, height)
-
-    def phase_end(self, digest: bytes, phase: str) -> None:
-        if self._inner_enabled:
-            self._inner.phase_end(digest, phase)
 
     def qc_formed(self, digest: bytes, phase: str, view: int, qc: Any = None) -> None:
         now = self._now()
@@ -366,8 +341,6 @@ class FlightRecordingObs(NullReplicaObs):
         self.recorder.record(now, EV_QC, view, height, digest, phase)
         if self.auditor is not None:
             self.auditor.on_qc(self._replica, digest, phase, view, now, qc)
-        if self._inner_enabled:
-            self._inner.qc_formed(digest, phase, view, qc)
 
     def block_committed(
         self, digest: bytes, height: int, num_ops: int, view: int = -1
@@ -376,36 +349,26 @@ class FlightRecordingObs(NullReplicaObs):
         self.recorder.record(now, EV_COMMIT, view, height, digest, str(num_ops))
         if self.auditor is not None:
             self.auditor.on_commit(self._replica, digest, height, view, now)
-        if self._inner_enabled:
-            self._inner.block_committed(digest, height, num_ops, view)
 
     def client_admitted(self, client_id: int, sequence: int) -> None:
         self.recorder.record(
             self._now(), EV_ADMIT, -1, detail=f"{client_id}:{sequence}"
         )
-        if self._inner_enabled:
-            self._inner.client_admitted(client_id, sequence)
 
 
 class JourneyObs(NullReplicaObs):
-    """Observer that pins block-path checkpoints onto sampled journeys.
+    """Subscriber that pins block-path checkpoints onto sampled journeys.
 
-    Wraps an inner observer exactly like :class:`FlightRecordingObs`, so
-    journeys compose with metrics, spans, and the flight ring in one
-    ``attach_observer`` call.  Only the **proposing** replica learns the
-    digest→sampled-ops mapping (via the :meth:`ops_proposed` hook, which
-    fires where the full block is in scope), so phase/commit checkpoints
-    are recorded exactly once per request — on the leader's critical
-    path — even though every replica carries this observer.
+    Only the **proposing** replica learns the digest→sampled-ops mapping
+    (via the :meth:`ops_proposed` hook, which fires where the full block
+    is in scope), so phase/commit checkpoints are recorded exactly once
+    per request — on the leader's critical path — even though every
+    replica carries this subscriber.
     """
 
     enabled = True
 
-    def __init__(
-        self, inner: NullReplicaObs, journey: "JourneyRecorder", replica_id: int
-    ) -> None:
-        self._inner = inner
-        self._inner_enabled = inner.enabled
+    def __init__(self, journey: JourneyRecorder, replica_id: int) -> None:
         #: The run's shared :class:`~repro.obs.journey.JourneyRecorder`
         #: (``ClientService`` reads it off ``replica.obs`` for the
         #: executed-at-proposer checkpoint).
@@ -417,40 +380,6 @@ class JourneyObs(NullReplicaObs):
 
     def bind(self, ctx: Any) -> None:
         self._now = lambda: ctx.now
-        self._inner.bind(ctx)
-
-    # Hot path: journeys key on semantic events only.
-    def message_handled(self, payload: Any) -> None:
-        if self._inner_enabled:
-            self._inner.message_handled(payload)
-
-    def vote_sent(self, phase: Any) -> None:
-        if self._inner_enabled:
-            self._inner.vote_sent(phase)
-
-    def view_entered(self, view: int, reason: str) -> None:
-        if self._inner_enabled:
-            self._inner.view_entered(view, reason)
-
-    def view_timeout(self, view: int) -> None:
-        if self._inner_enabled:
-            self._inner.view_timeout(view)
-
-    def view_change_event(self, name: str, view: int, **meta: Any) -> None:
-        if self._inner_enabled:
-            self._inner.view_change_event(name, view, **meta)
-
-    def view_change_done(self, view: int) -> None:
-        if self._inner_enabled:
-            self._inner.view_change_done(view)
-
-    def sync_requested(self, attempt: int) -> None:
-        if self._inner_enabled:
-            self._inner.sync_requested(attempt)
-
-    def block_proposed(self, digest: bytes, view: int, height: int) -> None:
-        if self._inner_enabled:
-            self._inner.block_proposed(digest, view, height)
 
     def ops_proposed(self, block: Any) -> None:
         operations = getattr(block, "operations", None)
@@ -459,23 +388,11 @@ class JourneyObs(NullReplicaObs):
             if keys:
                 self._block_keys[block.digest] = keys
                 self.journey.record_keys(keys, CK_PROPOSED, self._now())
-        if self._inner_enabled:
-            self._inner.ops_proposed(block)
-
-    def phase_begin(self, digest: bytes, phase: str, view: int, height: int | None = None) -> None:
-        if self._inner_enabled:
-            self._inner.phase_begin(digest, phase, view, height)
-
-    def phase_end(self, digest: bytes, phase: str) -> None:
-        if self._inner_enabled:
-            self._inner.phase_end(digest, phase)
 
     def qc_formed(self, digest: bytes, phase: str, view: int, qc: Any = None) -> None:
         keys = self._block_keys.get(digest)
         if keys:
             self.journey.record_keys(keys, CK_QC_PREFIX + phase, self._now())
-        if self._inner_enabled:
-            self._inner.qc_formed(digest, phase, view, qc)
 
     def block_committed(
         self, digest: bytes, height: int, num_ops: int, view: int = -1
@@ -483,30 +400,68 @@ class JourneyObs(NullReplicaObs):
         keys = self._block_keys.pop(digest, None)
         if keys:
             self.journey.record_keys(keys, CK_COMMITTED, self._now())
-        if self._inner_enabled:
-            self._inner.block_committed(digest, height, num_ops, view)
 
     def client_admitted(self, client_id: int, sequence: int) -> None:
         if self.journey.sampled(client_id):
             self.journey.record(client_id, sequence, CK_ADMITTED, self._now())
-        if self._inner_enabled:
-            self._inner.client_admitted(client_id, sequence)
+
+
+#: Every hook a subscriber may override (``bind`` included).
+_HOOKS = tuple(
+    name for name, member in vars(NullReplicaObs).items()
+    if callable(member) and not name.startswith("_")
+)
+
+
+def _fan(methods: tuple[Any, ...]) -> Any:
+    def dispatch(*args: Any, **kwargs: Any) -> None:
+        for method in methods:
+            method(*args, **kwargs)
+
+    return dispatch
+
+
+class FanOutObs(NullReplicaObs):
+    """Two or more subscribers behind one replica observer.
+
+    Dispatch is resolved here, once: each hook becomes the bound method
+    of the one subscriber that overrides it, a loop over the several
+    that do (in subscriber order), or stays the inherited no-op when
+    none does.
+    """
+
+    enabled = True
+
+    def __init__(self, subscribers: list[NullReplicaObs]) -> None:
+        self.subscribers = subscribers
+        self.journey = next((s.journey for s in subscribers if s.journey is not None), None)
+        for hook in _HOOKS:
+            noop = getattr(NullReplicaObs, hook)
+            methods = tuple(
+                getattr(s, hook) for s in subscribers if getattr(type(s), hook) is not noop
+            )
+            if len(methods) == 1:
+                setattr(self, hook, methods[0])
+            elif methods:
+                setattr(self, hook, _fan(methods))
 
 
 class RunObservability:
     """One registry + tracer + network counters for a whole cluster run.
 
-    ``flight=True`` adds a per-replica :class:`FlightRecorder`;
-    ``audit=True`` additionally streams the events through an
-    :class:`OnlineAuditor` (and implies ``flight``).  ``metrics=False``
-    skips the per-replica metrics/span observer so a flight-only run
+    Each switch adds one replica subscriber.  ``journey`` takes a
+    :class:`~repro.obs.journey.JourneyRecorder`: every replica gets a
+    :class:`JourneyObs` feeding that one shared recorder, and client
+    layers (:class:`~repro.client.session.ClientSession` via
+    :meth:`bind_client_session`, the workload pools) record the
+    client-side checkpoints into it.  ``flight=True`` adds a per-replica
+    :class:`FlightRecorder` behind a :class:`FlightRecordingObs`;
+    ``audit=True`` additionally streams those events through an
+    :class:`OnlineAuditor` (and implies ``flight``), which
+    :meth:`arm_auditor` connects to the cluster.  ``metrics=False`` drops
+    the :class:`ReplicaObs` metrics/span subscriber, so a flight-only run
     pays just the ring append per event — the mode the DES speed
-    benchmark's overhead guard measures.  ``journey`` takes a
-    :class:`~repro.obs.journey.JourneyRecorder`: every replica observer
-    is then wrapped in a :class:`JourneyObs` feeding that one shared
-    recorder, and client layers (:class:`~repro.client.session.ClientSession`
-    via :meth:`bind_client_session`, the workload pools) record the
-    client-side checkpoints into it.
+    benchmark's overhead guard measures.
     """
 
     def __init__(
@@ -549,18 +504,42 @@ class RunObservability:
         )
 
     def replica_obs(self, replica_id: int, protocol: str) -> NullReplicaObs:
-        inner: NullReplicaObs = (
-            ReplicaObs(self.registry, self.tracer, replica_id, protocol)
-            if self._metrics_enabled
-            else NULL_OBS
-        )
+        """:data:`NULL_OBS`, the one subscriber, or a :class:`FanOutObs`
+        over them in the order journey, flight, metrics."""
+        subscribers: list[NullReplicaObs] = []
+        if self.journey is not None:
+            subscribers.append(JourneyObs(self.journey, replica_id))
         if self.flight:
             recorder = FlightRecorder(replica_id, self.flight_capacity)
             self.recorders[replica_id] = recorder
-            inner = FlightRecordingObs(inner, recorder, self.auditor)
-        if self.journey is not None:
-            inner = JourneyObs(inner, self.journey, replica_id)
-        return inner
+            subscribers.append(FlightRecordingObs(recorder, self.auditor))
+        if self._metrics_enabled:
+            subscribers.append(ReplicaObs(self.registry, self.tracer, replica_id, protocol))
+        if not subscribers:
+            return NULL_OBS
+        if len(subscribers) == 1:
+            return subscribers[0]
+        return FanOutObs(subscribers)
+
+    def arm_auditor(
+        self, replicas: Iterable[Any], network: Any, num_replicas: int, quorum: int,
+        qc_validator: Callable[[Any], bool] | None = None,
+    ) -> None:
+        """Connect the online auditor to a built cluster; a no-op without ``audit``.
+
+        Sizes the auditor to the cluster, taps the transport when it has
+        ``add_tap``, and appends one commit listener to every replica
+        (learners included) after the listeners the runtime installed.
+        """
+        auditor = self.auditor
+        if auditor is None:
+            return
+        auditor.configure(num_replicas, quorum, qc_validator=qc_validator)
+        add_tap = getattr(network, "add_tap", None)
+        if add_tap is not None:
+            add_tap(auditor.tap)
+        for replica in replicas:
+            replica.commit_listeners.append(partial(auditor.on_commit_block, replica.id))
 
     def client_recorder(self, endpoint_id: int) -> FlightRecorder:
         """A flight ring for one client endpoint, included in black boxes.

@@ -107,20 +107,12 @@ class LocalCluster:
                 client_config=self.client_config,
             )
             self.nodes.append(node)
-        online = getattr(self.observability, "auditor", None)
-        if online is not None:
-            online.configure(
-                self.config.num_replicas,
-                self.config.quorum,
+        if self.observability is not None:
+            self.observability.arm_auditor(
+                [node.replica for node in self.nodes], self.network,
+                self.config.num_replicas, self.config.quorum,
                 qc_validator=self.crypto.qc_is_valid,
             )
-            add_tap = getattr(self.network, "add_tap", None)
-            if add_tap is not None:
-                add_tap(online.tap)
-            for node in self.nodes:
-                node.replica.commit_listeners.append(
-                    self._online_commit_listener(online, node.id)
-                )
         if isinstance(self.network, TcpNetwork):
             await self.network.start()
             await self.network.connect_all()
@@ -128,13 +120,6 @@ class LocalCluster:
             node.start()
         self._started = True
         await asyncio.sleep(0)
-
-    @staticmethod
-    def _online_commit_listener(online: Any, replica_id: int) -> Any:
-        def listener(block: Any, when: float) -> None:
-            online.on_commit_block(replica_id, block, when)
-
-        return listener
 
     async def stop(self) -> None:
         for client in self._clients:

@@ -1,4 +1,4 @@
-"""Cost models, node contexts, and crypto cost tracking."""
+"""Cost models and node contexts."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.consensus.block import Operation, genesis_block, make_child
 from repro.consensus.context import LocalContext
 from repro.consensus.costs import PaperCostModel, ZeroCostModel
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
-from repro.crypto.cost_model import CryptoCostTracker, CryptoOp
 from repro.crypto.hashing import digest_of
 
 
@@ -82,35 +81,6 @@ class TestPaperCostModel:
     def test_combine_null_scheme_maps_to_threshold(self):
         model = PaperCostModel(MachineProfile.paper_testbed(), scheme="null")
         assert model.scheme == "threshold"
-
-
-class TestCryptoCostTracker:
-    def test_counts_and_time(self):
-        tracker = CryptoCostTracker()
-        tracker.sign()
-        tracker.verify(3)
-        tracker.pairing()
-        tracker.combine(21)
-        snapshot = tracker.snapshot()
-        assert snapshot["sign"] == 1
-        assert snapshot["verify"] == 3
-        assert snapshot["pairing"] == 1
-        assert snapshot["combine"] == 21
-        assert tracker.total_time > 0
-
-    def test_reset(self):
-        tracker = CryptoCostTracker()
-        tracker.sign()
-        tracker.reset()
-        assert tracker.snapshot() == {}
-        assert tracker.total_time == 0.0
-
-    def test_hash_cost_scales(self):
-        tracker = CryptoCostTracker()
-        small = tracker.hash_data(100)
-        large = tracker.hash_data(100_000)
-        assert large > small
-        assert tracker.counts[CryptoOp.HASH] == 2
 
 
 class TestLocalContext:

@@ -19,6 +19,14 @@ def make_dirs(tmp_path, n=4):
     return [str(tmp_path / f"node{i}") for i in range(n)]
 
 
+async def until(predicate, what, timeout=20.0):
+    deadline = asyncio.get_event_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_event_loop().time() > deadline:
+            raise TimeoutError(what)
+        await asyncio.sleep(0.02)
+
+
 class TestLedgerSnapshot:
     def test_install_snapshot_resets_frontier(self):
         from repro.consensus.block import genesis_block, make_child
@@ -112,9 +120,20 @@ class TestPeerStateTransfer:
                     await cluster.submit(
                         KVStateMachine.encode_set(b"key%d" % i, b"val%d" % i)
                     )
-                await cluster.wait_for_height(3, timeout=20)
-                target = max(cluster.committed_heights()[:3])
-                reference = cluster.nodes[1].app.state_digest()
+                # The reference is taken only once nodes 0-2 have executed
+                # all twelve keys and stand at one common height.
+                peers = cluster.nodes[:3]
+                await until(
+                    lambda: len({node.committed_height for node in peers}) == 1
+                    and all(
+                        node.app.get(b"key%d" % i) == b"val%d" % i
+                        for node in peers
+                        for i in range(12)
+                    ),
+                    "nodes 0-2 never executed every key at one height",
+                )
+                target = peers[0].committed_height
+                reference = peers[0].app.state_digest()
 
                 # Node 3 loses its disk entirely.
                 fresh_dir = str(tmp_path / "node3-fresh")
@@ -123,12 +142,10 @@ class TestPeerStateTransfer:
                 node = await cluster.restart(3)
                 assert node.committed_height == 0
                 node.request_state_transfer()
-                deadline = asyncio.get_event_loop().time() + 20
-                while node.committed_height == 0:
-                    if asyncio.get_event_loop().time() > deadline:
-                        raise TimeoutError("state transfer never completed")
-                    await asyncio.sleep(0.02)
-                assert node.committed_height >= target - 2
+                await until(
+                    lambda: node.committed_height >= target,
+                    "state transfer never reached the peers' height",
+                )
                 assert node.app.state_digest() == reference
                 assert node.app.get(b"key0") == b"val0"
 
