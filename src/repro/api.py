@@ -4,16 +4,15 @@ Everything a paper-reproduction script, notebook or CI job should need
 lives here under names that will not churn:
 
 * :class:`Scenario` — keyword-only experiment description shared by the
-  entry points, replacing the loose ``f/seed/batch/**cluster_kwargs``
-  threading of the old harness functions.
+  entry points (defined in :mod:`repro.harness.scenarios`, which runs it
+  with :func:`~repro.harness.scenarios.run_point`; re-exported here).
 * :func:`load_point` / :func:`throughput_curve` / :func:`peak_throughput`
   — the Fig. 10 throughput/latency methodology.
 * :func:`traced_run` — a short, fully observed run for trace export.
 * Re-exports of the configuration, runtime, and observability types the
   above produce and consume.
 
-The old ``repro.harness.scenarios`` entry points still work but emit
-:class:`DeprecationWarning`; new code should import from here::
+Scripts should import from here::
 
     from repro.api import Scenario, load_point
 
@@ -23,13 +22,11 @@ The old ``repro.harness.scenarios`` entry points still work but emit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import warnings
+from dataclasses import fields
 
 from repro.adversary import (
     ADVERSARY_SCENARIOS,
-    get_scenario as _get_adversary_scenario,
-)
-from repro.adversary import (
     AdversaryConfig,
     AdversaryScenario,
     BehaviorSpec,
@@ -57,27 +54,26 @@ from repro.harness.audit import (
     audited_run,
     complexity_sweep,
 )
-from repro.harness.des_runtime import DESCluster, PROTOCOLS
+from repro.harness.des_runtime import DESCluster
 from repro.harness.metrics import RunResult
 from repro.harness.scenarios import (
     DEFAULT_MAX_BATCH,
     LATENCY_CAP,
     NormalCaseCost,
+    Scenario,
     ViewChangeCost,
     ViewChangeResult,
     _latency_breakdown,
-    _load_point,
-    _peak_throughput,
-    _throughput_latency_curve,
     _traced_scenario,
     default_client_sweep,
     measure_normal_case_cost,
     measure_view_change_cost,
     peak_at_latency_cap,
     rotating_leader_throughput,
+    run_point,
     view_change_latency,
 )
-from repro.harness.parallel import ResultCache, SweepExecutor, code_fingerprint
+from repro.harness.parallel import ResultCache, SweepExecutor, bisect_peak, code_fingerprint
 from repro.harness.workload import ClosedLoopClients, ShardedClosedLoopClients
 from repro.obs.complexity import ComplexityObservatory, SlopeFit
 from repro.obs.flight import FlightRecorder, read_blackbox
@@ -153,192 +149,6 @@ __all__ = [
 ]
 
 
-_CRYPTO_MODES = ("null", "threshold", "multisig")
-
-
-@dataclass(frozen=True, kw_only=True)
-class Scenario:
-    """One experiment described declaratively (all fields keyword-only).
-
-    The single entry-point object of the facade: it composes the four
-    config surfaces — :class:`ClusterConfig` (replica shape),
-    :class:`ClientConfig` (client protocol), :class:`PipelineConfig`
-    (batching/pipelining) and :class:`ShardConfig` (topology) — plus the
-    run parameters, and every facade function consumes it.  Fields an
-    entry point does not use (e.g. ``clients`` for :func:`traced_run`,
-    which has its own light-load default) are simply ignored by it.
-
-    Construction validates every field and raises
-    :class:`~repro.common.errors.ConfigError` naming the offending one.
-    Derive variants with :meth:`with_overrides`::
-
-        base = Scenario(protocol="marlin", f=1)
-        wide = base.with_overrides(f=5, clients=16384)
-        sharded = base.with_overrides(shards=4)
-    """
-
-    #: "marlin", "hotstuff", "chained-marlin", "chained-hotstuff",
-    #: "fast-hotstuff" or "insecure".
-    protocol: str = "marlin"
-    #: Fault tolerance; each consensus group has ``3f + 1`` replicas.
-    f: int = 1
-    #: Closed-loop client population for load points.
-    clients: int = 4096
-    #: Simulation seed (same seed, same trace).
-    seed: int = 1
-    #: Simulated run length / measurement warm-up, in seconds.
-    sim_time: float = 22.0
-    warmup: float = 7.0
-    #: Client request/reply payload sizes, in bytes.
-    request_size: int = 150
-    reply_size: int = 150
-    #: Crypto service: "null" (cost-model timing; the throughput
-    #: methodology), "threshold" or "multisig" (real arithmetic).
-    crypto: str = "null"
-    #: Batching/pipelining knobs; None reproduces the unbatched seed
-    #: behaviour exactly.
-    pipeline: PipelineConfig | None = field(default=None)
-    #: Client subsystem knobs; None (or ``mode="hub"``) reproduces the
-    #: aggregate hub-client load model of the paper's evaluation, while
-    #: ``ClientConfig(mode="real")`` drives the same population through
-    #: genuine protocol clients (sessions, retransmits, reply
-    #: certificates) over the simulated network.
-    client: "ClientConfig | None" = field(default=None)
-    #: Explicit per-group replica shape.  None derives the paper-testbed
-    #: shape from ``f``; when given it is authoritative and ``f`` must
-    #: either be left at its default or agree with ``cluster.f``.
-    cluster: ClusterConfig | None = field(default=None)
-    #: Topology: how many independent consensus groups, and how keys
-    #: route to them.  ``shards=G`` is sugar for ``shard=ShardConfig(
-    #: shards=G)``; give ``shard`` explicitly for router knobs.
-    shard: "ShardConfig | None" = field(default=None)
-    shards: int = 1
-    #: Worker processes for the simulation itself (not the sweep): with
-    #: ``des_jobs > 1`` a sharded load point runs each consensus group as
-    #: one task on that many spawn workers via
-    #: :class:`repro.shard.parallel.ParallelShardedCluster`, with results
-    #: byte-identical to ``des_jobs=1``.  Requires ``shards >= 2``.
-    des_jobs: int = 1
-    #: Byzantine adversary injected into the run: the name of a
-    #: registered scenario from :mod:`repro.adversary.scenarios` (e.g.
-    #: ``"forking-attack"``) or an explicit
-    #: :class:`~repro.adversary.behaviors.AdversaryConfig`.  Requires the
-    #: single-group topology.  ``None`` (the default) is the
-    #: failure-free run every benchmark number comes from.
-    adversary: "str | AdversaryConfig | None" = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(
-                f"Scenario.protocol must be one of {sorted(PROTOCOLS)}, "
-                f"got {self.protocol!r}"
-            )
-        if self.f < 1:
-            raise ConfigError(f"Scenario.f must be >= 1, got {self.f}")
-        if self.clients < 1:
-            raise ConfigError(f"Scenario.clients must be >= 1, got {self.clients}")
-        if self.warmup < 0:
-            raise ConfigError(f"Scenario.warmup must be >= 0, got {self.warmup}")
-        if self.sim_time <= self.warmup:
-            raise ConfigError(
-                f"Scenario.sim_time must exceed warmup "
-                f"({self.warmup}), got {self.sim_time}"
-            )
-        if self.request_size < 0:
-            raise ConfigError(
-                f"Scenario.request_size must be >= 0, got {self.request_size}"
-            )
-        if self.reply_size < 0:
-            raise ConfigError(
-                f"Scenario.reply_size must be >= 0, got {self.reply_size}"
-            )
-        if self.crypto not in _CRYPTO_MODES:
-            raise ConfigError(
-                f"Scenario.crypto must be one of {_CRYPTO_MODES}, got {self.crypto!r}"
-            )
-        if self.shards < 1:
-            raise ConfigError(f"Scenario.shards must be >= 1, got {self.shards}")
-        if self.shard is not None and self.shards != 1 and self.shards != self.shard.shards:
-            raise ConfigError(
-                f"Scenario.shards ({self.shards}) contradicts "
-                f"Scenario.shard.shards ({self.shard.shards}); set one of them"
-            )
-        if self.des_jobs < 1:
-            raise ConfigError(f"Scenario.des_jobs must be >= 1, got {self.des_jobs}")
-        if self.des_jobs > 1 and self.resolved_shard().shards < 2:
-            raise ConfigError(
-                "Scenario.des_jobs > 1 parallelises per consensus group; "
-                "set shards >= 2 (an unsharded run has nothing to decompose)"
-            )
-        if self.cluster is not None and self.f != 1 and self.f != self.cluster.f:
-            raise ConfigError(
-                f"Scenario.f ({self.f}) contradicts Scenario.cluster.f "
-                f"({self.cluster.f}); the explicit cluster is authoritative"
-            )
-        if self.adversary is not None:
-            if isinstance(self.adversary, str):
-                try:
-                    _get_adversary_scenario(self.adversary)
-                except ValueError as exc:
-                    raise ConfigError(f"Scenario.adversary: {exc}") from exc
-            elif not isinstance(self.adversary, AdversaryConfig):
-                raise ConfigError(
-                    f"Scenario.adversary must be a scenario name or an "
-                    f"AdversaryConfig, got {type(self.adversary).__name__}"
-                )
-            if self.resolved_shard().shards > 1:
-                raise ConfigError(
-                    "Scenario.adversary requires the single-group topology "
-                    "(shards == 1)"
-                )
-
-    def with_overrides(self, **overrides) -> "Scenario":
-        """A copy with the given fields replaced (and re-validated).
-
-        Unknown names raise :class:`~repro.common.errors.ConfigError`
-        naming the field, so typos fail loudly instead of silently
-        returning an unchanged scenario.
-        """
-        known = {spec.name for spec in fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ConfigError(
-                f"Scenario has no field(s) {', '.join(map(repr, unknown))}; "
-                f"known fields: {', '.join(sorted(known))}"
-            )
-        return replace(self, **overrides)
-
-    def resolved_shard(self) -> "ShardConfig":
-        """The effective topology (``shard`` wins over the sugar field)."""
-        if self.shard is not None:
-            return self.shard
-        return ShardConfig(shards=self.shards)
-
-
-def _topology_kwargs(scenario: Scenario) -> dict:
-    """The cluster/shard kwargs a scenario adds to a harness call.
-
-    Only present when non-default, so unsharded task dicts (and thus
-    sweep-cache keys) keep their established shape.
-    """
-    extra: dict = {}
-    if scenario.cluster is not None:
-        extra["cluster"] = scenario.cluster
-    shard = scenario.resolved_shard()
-    if shard.shards > 1:
-        extra["shard"] = shard
-    if scenario.des_jobs != 1:
-        # Part of sweep-cache keys (task dicts are the payload), so a
-        # des_jobs=4 point never aliases a des_jobs=1 one even though
-        # the engines are proven byte-identical.
-        extra["des_jobs"] = scenario.des_jobs
-    if scenario.adversary is not None:
-        # Also part of sweep-cache keys: an adversarial point must never
-        # alias its failure-free twin.
-        extra["adversary"] = scenario.adversary
-    return extra
-
-
 def load_point(scenario: Scenario, *, observability: RunObservability | None = None) -> RunResult:
     """Run one closed-loop load point (Fig. 10a-f methodology).
 
@@ -346,21 +156,7 @@ def load_point(scenario: Scenario, *, observability: RunObservability | None = N
     over one simulator and the result reports aggregate throughput,
     merged latency percentiles, and ``per_shard_tps``.
     """
-    return _load_point(
-        scenario.protocol,
-        scenario.f,
-        scenario.clients,
-        sim_time=scenario.sim_time,
-        warmup=scenario.warmup,
-        request_size=scenario.request_size,
-        reply_size=scenario.reply_size,
-        seed=scenario.seed,
-        observability=observability,
-        pipeline=scenario.pipeline,
-        crypto=scenario.crypto,
-        client=scenario.client,
-        **_topology_kwargs(scenario),
-    )
+    return run_point(scenario, observability)[0]
 
 
 def latency_breakdown(
@@ -378,21 +174,7 @@ def latency_breakdown(
     :func:`repro.obs.journey.slowest_journeys` /
     :func:`repro.obs.journey.write_chrome_trace`.  Works sharded.
     """
-    result, recorder, _cluster = _latency_breakdown(
-        scenario.protocol,
-        f=scenario.f,
-        clients=scenario.clients,
-        sim_time=scenario.sim_time,
-        warmup=scenario.warmup,
-        seed=scenario.seed,
-        sample_rate=sample_rate,
-        request_size=scenario.request_size,
-        reply_size=scenario.reply_size,
-        crypto=scenario.crypto,
-        client=scenario.client,
-        pipeline=scenario.pipeline,
-        **_topology_kwargs(scenario),
-    )
+    result, recorder, _cluster = _latency_breakdown(scenario, sample_rate)
     return result, recorder
 
 
@@ -412,16 +194,24 @@ def traced_run(
     ``(cluster, observability)`` with the tracer populated.
     """
     return _traced_scenario(
-        scenario.protocol,
-        f=scenario.f,
-        seed=scenario.seed,
+        scenario,
         sim_time=sim_time,
         clients=clients,
         crash_leader_at=crash_leader_at,
         force_unhappy=force_unhappy,
         observability=observability,
-        pipeline=scenario.pipeline,
     )
+
+
+def _sweep_task(scenario: Scenario) -> dict:
+    """A sweep task: the scenario's fields, which are also its cache key."""
+    return {spec.name: getattr(scenario, spec.name) for spec in fields(scenario)}
+
+
+def _default_grid(scenario: Scenario) -> list[int]:
+    """The default client sweep, sized to the cluster that actually runs."""
+    cluster = scenario.cluster
+    return default_client_sweep(cluster.f if cluster is not None else scenario.f)
 
 
 def throughput_curve(
@@ -436,32 +226,35 @@ def throughput_curve(
 ) -> list[RunResult]:
     """Sweep client counts until mean latency crosses ``latency_cap``.
 
+    The paper's Fig. 10a-f plots stop around 1000 ms; the sweep keeps the
+    first point past the cap so the cap crossing can be interpolated.
+
     ``jobs`` runs the independent points across that many worker
     processes and ``use_cache`` reuses on-disk results (keyed by scenario
     and code fingerprint; see :mod:`repro.harness.parallel`).  Either
-    way the returned curve is byte-identical to the serial sweep.
+    way the returned curve is byte-identical to the serial sweep.  Runs
+    that carry an observability layer stay serial — collectors are
+    process-local.
     """
     if client_counts is None:
-        client_counts = default_client_sweep(scenario.f)
-    return _throughput_latency_curve(
-        scenario.protocol,
-        scenario.f,
-        client_counts,
-        latency_cap,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        observability=observability,
-        sim_time=scenario.sim_time,
-        warmup=scenario.warmup,
-        request_size=scenario.request_size,
-        reply_size=scenario.reply_size,
-        seed=scenario.seed,
-        pipeline=scenario.pipeline,
-        crypto=scenario.crypto,
-        client=scenario.client,
-        **_topology_kwargs(scenario),
-    )
+        client_counts = _default_grid(scenario)
+    if (jobs > 1 or use_cache) and observability is None:
+        cache = ResultCache(cache_dir) if use_cache else None
+        with SweepExecutor(jobs=jobs, cache=cache) as executor:
+            return executor.run_curve(_sweep_task(scenario), client_counts, latency_cap)
+    if jobs > 1:
+        warnings.warn(
+            "observability collectors are process-local; running the sweep serially",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    results: list[RunResult] = []
+    for clients in client_counts:
+        point, _cluster = run_point(scenario.with_overrides(clients=clients), observability)
+        results.append(point)
+        if point.mean_latency > latency_cap:
+            break
+    return results
 
 
 def peak_throughput(
@@ -474,32 +267,31 @@ def peak_throughput(
     cache_dir: str | None = None,
     strategy: str = "sweep",
 ) -> tuple[float, list[RunResult]]:
-    """Peak throughput at the latency cap, plus the raw curve.
+    """Peak throughput at the latency cap (Fig. 10g/10h), plus the raw curve.
 
-    ``strategy="bisect"`` binary-searches the client grid for the cap
-    crossing instead of sweeping it linearly (valid because closed-loop
-    latency is monotone in the population); combine with ``jobs`` for
-    parallel probing.
+    ``strategy="sweep"`` walks the client grid linearly (the default, and
+    the paper's methodology); ``strategy="bisect"`` binary-searches the
+    grid for the cap crossing instead — valid because closed-loop latency
+    is monotone in the population — evaluating ``jobs`` probes per round.
     """
-    return _peak_throughput(
-        scenario.protocol,
-        scenario.f,
-        client_counts,
-        latency_cap,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        strategy=strategy,
-        sim_time=scenario.sim_time,
-        warmup=scenario.warmup,
-        request_size=scenario.request_size,
-        reply_size=scenario.reply_size,
-        seed=scenario.seed,
-        pipeline=scenario.pipeline,
-        crypto=scenario.crypto,
-        client=scenario.client,
-        **_topology_kwargs(scenario),
-    )
+    if strategy not in ("sweep", "bisect"):
+        raise ConfigError(f"strategy must be 'sweep' or 'bisect', got {strategy!r}")
+    if client_counts is None:
+        client_counts = _default_grid(scenario)
+    if strategy == "bisect":
+        cache = ResultCache(cache_dir) if use_cache else None
+        with SweepExecutor(jobs=jobs, cache=cache) as executor:
+            curve = bisect_peak(executor, _sweep_task(scenario), client_counts, latency_cap)
+    else:
+        curve = throughput_curve(
+            scenario,
+            client_counts,
+            latency_cap=latency_cap,
+            jobs=jobs,
+            use_cache=use_cache,
+            cache_dir=cache_dir,
+        )
+    return peak_at_latency_cap(curve, latency_cap), curve
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Canned experiments, one per figure in the paper's evaluation.
 
-Each function builds a fresh :class:`~repro.harness.des_runtime.DESCluster`
-with the paper's testbed parameters (40 ms injected latency, 200 Mbps
-shaped links, 1 Gbps NICs, 16-core machines, LevelDB-style persistence),
-runs the workload, audits safety, and returns plain data the benchmark
-modules format into paper-versus-measured tables.
+:class:`Scenario` describes one closed-loop load point declaratively and
+:func:`run_point` runs it; every load-point entry of :mod:`repro.api`
+goes through that one function.  The figure-level helpers below build a
+fresh :class:`~repro.harness.des_runtime.DESCluster` with the paper's
+testbed parameters (40 ms injected latency, 200 Mbps shaped links,
+1 Gbps NICs, 16-core machines, LevelDB-style persistence), run the
+workload, audit safety, and return plain data the benchmark modules
+format into paper-versus-measured tables.
 
 Crypto note: throughput scenarios run the ``null`` crypto service (exact
 quorum logic, no arithmetic) with the **threshold** cost model charging
@@ -15,15 +18,21 @@ the real threshold scheme.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
-from repro.harness.des_runtime import DESCluster
+from repro.harness.des_runtime import PROTOCOLS, DESCluster
 from repro.harness.metrics import RunResult
 from repro.harness.workload import ClosedLoopClients
 from repro.obs.complexity import CostCell
+
+if TYPE_CHECKING:  # Scenario's field types; imported lazily where used
+    from repro.adversary import AdversaryConfig
+    from repro.client import ClientConfig
+    from repro.consensus.pipeline import PipelineConfig
+    from repro.shard import ShardConfig
 
 DEFAULT_MAX_BATCH = 30000
 """Natural batching cap (weighted ops per block).
@@ -36,6 +45,172 @@ rather than sweeping the whole client population into one lockstep block.
 LATENCY_CAP = 1.0
 """Peak-throughput methodology: the paper's Fig. 10a-f curves end near
 1000 ms; "peak" is the throughput reached at this latency."""
+
+
+_CRYPTO_MODES = ("null", "threshold", "multisig")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One experiment described declaratively (all fields keyword-only).
+
+    The single entry-point object of the facade: it composes the four
+    config surfaces — :class:`ClusterConfig` (replica shape),
+    :class:`ClientConfig` (client protocol), :class:`PipelineConfig`
+    (batching/pipelining) and :class:`ShardConfig` (topology) — plus the
+    run parameters, and every facade function consumes it.  Fields an
+    entry point does not use (e.g. ``clients`` for :func:`traced_run`,
+    which has its own light-load default) are simply ignored by it.
+
+    Construction validates every field and raises
+    :class:`~repro.common.errors.ConfigError` naming the offending one.
+    Derive variants with :meth:`with_overrides`::
+
+        base = Scenario(protocol="marlin", f=1)
+        wide = base.with_overrides(f=5, clients=16384)
+        sharded = base.with_overrides(shards=4)
+    """
+
+    #: "marlin", "hotstuff", "chained-marlin", "chained-hotstuff",
+    #: "fast-hotstuff" or "insecure".
+    protocol: str = "marlin"
+    #: Fault tolerance; each consensus group has ``3f + 1`` replicas.
+    f: int = 1
+    #: Closed-loop client population for load points.
+    clients: int = 4096
+    #: Simulation seed (same seed, same trace).
+    seed: int = 1
+    #: Simulated run length / measurement warm-up, in seconds.
+    sim_time: float = 22.0
+    warmup: float = 7.0
+    #: Client request/reply payload sizes, in bytes.
+    request_size: int = 150
+    reply_size: int = 150
+    #: Crypto service: "null" (cost-model timing; the throughput
+    #: methodology), "threshold" or "multisig" (real arithmetic).
+    crypto: str = "null"
+    #: Batching/pipelining knobs; None reproduces the unbatched seed
+    #: behaviour exactly.
+    pipeline: PipelineConfig | None = field(default=None)
+    #: Client subsystem knobs; None (or ``mode="hub"``) reproduces the
+    #: aggregate hub-client load model of the paper's evaluation, while
+    #: ``ClientConfig(mode="real")`` drives the same population through
+    #: genuine protocol clients (sessions, retransmits, reply
+    #: certificates) over the simulated network.
+    client: "ClientConfig | None" = field(default=None)
+    #: Explicit per-group replica shape.  None derives the paper-testbed
+    #: shape from ``f``; when given it is authoritative and ``f`` must
+    #: either be left at its default or agree with ``cluster.f``.
+    cluster: ClusterConfig | None = field(default=None)
+    #: Topology: how many independent consensus groups, and how keys
+    #: route to them.  ``shards=G`` is sugar for ``shard=ShardConfig(
+    #: shards=G)``; give ``shard`` explicitly for router knobs.
+    shard: "ShardConfig | None" = field(default=None)
+    shards: int = 1
+    #: Worker processes for the simulation itself (not the sweep): with
+    #: ``des_jobs > 1`` a sharded load point runs each consensus group as
+    #: one task on that many spawn workers via
+    #: :class:`repro.shard.parallel.ParallelShardedCluster`, with results
+    #: byte-identical to ``des_jobs=1``.  Requires ``shards >= 2``.
+    des_jobs: int = 1
+    #: Byzantine adversary injected into the run: the name of a
+    #: registered scenario from :mod:`repro.adversary.scenarios` (e.g.
+    #: ``"forking-attack"``) or an explicit
+    #: :class:`~repro.adversary.behaviors.AdversaryConfig`.  Requires the
+    #: single-group topology.  ``None`` (the default) is the
+    #: failure-free run every benchmark number comes from.
+    adversary: "str | AdversaryConfig | None" = field(default=None)
+
+    def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(
+                f"Scenario.protocol must be one of {sorted(PROTOCOLS)}, "
+                f"got {self.protocol!r}"
+            )
+        if self.f < 1:
+            raise ConfigError(f"Scenario.f must be >= 1, got {self.f}")
+        if self.clients < 1:
+            raise ConfigError(f"Scenario.clients must be >= 1, got {self.clients}")
+        if self.warmup < 0:
+            raise ConfigError(f"Scenario.warmup must be >= 0, got {self.warmup}")
+        if self.sim_time <= self.warmup:
+            raise ConfigError(
+                f"Scenario.sim_time must exceed warmup "
+                f"({self.warmup}), got {self.sim_time}"
+            )
+        if self.request_size < 0:
+            raise ConfigError(
+                f"Scenario.request_size must be >= 0, got {self.request_size}"
+            )
+        if self.reply_size < 0:
+            raise ConfigError(
+                f"Scenario.reply_size must be >= 0, got {self.reply_size}"
+            )
+        if self.crypto not in _CRYPTO_MODES:
+            raise ConfigError(
+                f"Scenario.crypto must be one of {_CRYPTO_MODES}, got {self.crypto!r}"
+            )
+        if self.shards < 1:
+            raise ConfigError(f"Scenario.shards must be >= 1, got {self.shards}")
+        if self.shard is not None and self.shards != 1 and self.shards != self.shard.shards:
+            raise ConfigError(
+                f"Scenario.shards ({self.shards}) contradicts "
+                f"Scenario.shard.shards ({self.shard.shards}); set one of them"
+            )
+        if self.des_jobs < 1:
+            raise ConfigError(f"Scenario.des_jobs must be >= 1, got {self.des_jobs}")
+        if self.des_jobs > 1 and self.resolved_shard().shards < 2:
+            raise ConfigError(
+                "Scenario.des_jobs > 1 parallelises per consensus group; "
+                "set shards >= 2 (an unsharded run has nothing to decompose)"
+            )
+        if self.cluster is not None and self.f != 1 and self.f != self.cluster.f:
+            raise ConfigError(
+                f"Scenario.f ({self.f}) contradicts Scenario.cluster.f "
+                f"({self.cluster.f}); the explicit cluster is authoritative"
+            )
+        if self.adversary is not None:
+            from repro.adversary import AdversaryConfig, get_scenario
+
+            if isinstance(self.adversary, str):
+                try:
+                    get_scenario(self.adversary)
+                except ValueError as exc:
+                    raise ConfigError(f"Scenario.adversary: {exc}") from exc
+            elif not isinstance(self.adversary, AdversaryConfig):
+                raise ConfigError(
+                    f"Scenario.adversary must be a scenario name or an "
+                    f"AdversaryConfig, got {type(self.adversary).__name__}"
+                )
+            if self.resolved_shard().shards > 1:
+                raise ConfigError(
+                    "Scenario.adversary requires the single-group topology "
+                    "(shards == 1)"
+                )
+
+    def with_overrides(self, **overrides) -> "Scenario":
+        """A copy with the given fields replaced (and re-validated).
+
+        Unknown names raise :class:`~repro.common.errors.ConfigError`
+        naming the field, so typos fail loudly instead of silently
+        returning an unchanged scenario.
+        """
+        known = {spec.name for spec in fields(self)}
+        unknown = sorted(set(overrides) - known)
+        if unknown:
+            raise ConfigError(
+                f"Scenario has no field(s) {', '.join(map(repr, unknown))}; "
+                f"known fields: {', '.join(sorted(known))}"
+            )
+        return replace(self, **overrides)
+
+    def resolved_shard(self) -> "ShardConfig":
+        """The effective topology (``shard`` wins over the sugar field)."""
+        from repro.shard import ShardConfig
+
+        if self.shard is not None:
+            return self.shard
+        return ShardConfig(shards=self.shards)
 
 
 def _experiment(f: int, seed: int = 0, batch: int | None = None, **cluster_kwargs) -> ExperimentConfig:
@@ -53,213 +228,100 @@ def _token_weight(clients: int, max_tokens: int = 384) -> int:
 # Fig. 10a-10f: throughput vs latency
 
 
-def _load_point(
-    protocol: str,
-    f: int,
-    clients: int,
-    sim_time: float = 22.0,
-    warmup: float = 7.0,
-    request_size: int = 150,
-    reply_size: int = 150,
-    seed: int = 1,
-    observability=None,
-    pipeline=None,
-    crypto: str = "null",
-    client=None,
-    cluster=None,
-    shard=None,
-    des_jobs: int = 1,
-    adversary=None,
-) -> RunResult:
-    """One closed-loop load point for one protocol at one cluster size.
+def run_point(scenario: Scenario, observability=None) -> tuple[RunResult, DESCluster]:
+    """Run one closed-loop load point; returns ``(result, cluster)``.
 
-    Failure-free methodology: the view timer is set far above any block
-    interval so the stable leader is never deposed mid-measurement (the
-    paper's throughput experiments are failure-free; view changes are
-    measured separately in Fig. 10i/10j).
+    Failure-free methodology: unless ``scenario.cluster`` is given, the
+    view timer is set far above any block interval so the stable leader
+    is never deposed mid-measurement (the paper's throughput experiments
+    are failure-free; view changes are measured separately in Fig.
+    10i/10j).  Adversarial measurements normally pass an explicit
+    ``cluster`` with a realistic ``base_timeout`` so view changes can
+    actually happen.
 
     Pass a :class:`~repro.obs.observer.RunObservability` to collect
     per-replica metrics and per-phase latency histograms; the result's
-    ``phase_latency`` field is then populated from them.  Pass a
-    :class:`~repro.client.ClientConfig` with ``mode="real"`` to drive
-    the load through genuine protocol clients instead of the hub model.
-    Pass a :class:`~repro.common.config.ClusterConfig` as ``cluster`` to
-    override the derived per-group shape, and a
-    :class:`~repro.shard.ShardConfig` as ``shard`` to run G groups and
-    report aggregate (plus per-shard) throughput.
+    ``phase_latency`` field is then populated from them.  The returned
+    cluster lets callers fingerprint the commit trace (via
+    ``commit_trace()``), so serial and multi-process runs can be proven
+    identical.  With more than one shard it is a
+    :class:`~repro.shard.ShardedCluster` (or, with ``des_jobs > 1``, the
+    process-parallel engine) and the result carries aggregate metrics
+    plus ``per_shard_tps``.
     """
-    result, _ = _load_point_ex(
-        protocol,
-        f,
-        clients,
-        sim_time=sim_time,
-        warmup=warmup,
-        request_size=request_size,
-        reply_size=reply_size,
-        seed=seed,
-        observability=observability,
-        pipeline=pipeline,
-        crypto=crypto,
-        client=client,
-        cluster=cluster,
-        shard=shard,
-        des_jobs=des_jobs,
-        adversary=adversary,
-    )
-    return result
-
-
-def _load_point_ex(
-    protocol: str,
-    f: int,
-    clients: int,
-    sim_time: float = 22.0,
-    warmup: float = 7.0,
-    request_size: int = 150,
-    reply_size: int = 150,
-    seed: int = 1,
-    observability=None,
-    pipeline=None,
-    crypto: str = "null",
-    client=None,
-    cluster=None,
-    shard=None,
-    des_jobs: int = 1,
-    adversary=None,
-) -> tuple[RunResult, DESCluster]:
-    """:func:`_load_point` that also returns the finished cluster.
-
-    The parallel sweep workers use the cluster to fingerprint the commit
-    trace (via ``commit_trace()``), so serial and multi-process runs can
-    be proven identical.  With ``shard.shards > 1`` the returned cluster
-    is a :class:`~repro.shard.ShardedCluster` and the result carries
-    aggregate metrics plus ``per_shard_tps``.  ``des_jobs > 1`` runs the
-    sharded point on the process-parallel engine
-    (:mod:`repro.shard.parallel`) instead — same numbers, the groups'
-    simulators advance across worker processes.
-
-    ``adversary`` injects Byzantine behaviour into the run: an
-    :class:`~repro.adversary.behaviors.AdversaryConfig` or the name of a
-    registered scenario (whose config is used; its verdict expectations
-    only apply to campaigns).  Adversaries require the single-group
-    topology — a misbehaving replica inside one group of a sharded
-    topology is a different experiment with its own harness.  Note the
-    default failure-free timeouts are deliberately enormous; adversarial
-    measurements normally pass an explicit ``cluster`` config with a
-    realistic ``base_timeout`` so view changes can actually happen.
-    """
-    cluster_config = cluster
-    if cluster_config is not None:
-        experiment = ExperimentConfig(cluster=cluster_config, seed=seed)
+    if scenario.cluster is not None:
+        experiment = ExperimentConfig(cluster=scenario.cluster, seed=scenario.seed)
     else:
-        experiment = _experiment(f, seed=seed, base_timeout=120.0, max_timeout=240.0)
-    adversary_config = None
-    if adversary is not None:
-        if shard is not None and shard.shards > 1:
-            raise ConfigError("adversary injection requires the single-group topology")
-        from repro.adversary.behaviors import AdversaryConfig
-        from repro.adversary.scenarios import get_scenario
-
-        adversary_config = (
-            get_scenario(adversary).adversary
-            if isinstance(adversary, str)
-            else adversary
+        experiment = _experiment(
+            scenario.f, seed=scenario.seed, base_timeout=120.0, max_timeout=240.0
         )
-        if not isinstance(adversary_config, AdversaryConfig):
-            raise ConfigError(
-                f"adversary must be an AdversaryConfig or scenario name, "
-                f"got {type(adversary).__name__}"
-            )
-    if des_jobs > 1 and (shard is None or shard.shards < 2):
-        raise ConfigError(
-            "des_jobs > 1 decomposes the run per consensus group; "
-            "it requires a sharded topology (shards >= 2)"
-        )
-    if shard is not None and shard.shards > 1:
-        return _sharded_load_point(
-            experiment,
-            shard,
-            protocol=protocol,
-            clients=clients,
-            sim_time=sim_time,
-            warmup=warmup,
-            request_size=request_size,
-            reply_size=reply_size,
-            observability=observability,
-            pipeline=pipeline,
-            crypto=crypto,
-            client=client,
-            des_jobs=des_jobs,
-        )
+    if scenario.resolved_shard().shards > 1:
+        return _run_sharded(scenario, experiment, observability)
     cluster = DESCluster(
         experiment,
-        protocol=protocol,
-        crypto_mode=crypto,
+        protocol=scenario.protocol,
+        crypto_mode=scenario.crypto,
         observability=observability,
-        pipeline=pipeline,
+        pipeline=scenario.pipeline,
     )
-    if adversary_config is not None:
+    if scenario.adversary is not None:
         from repro.adversary.behaviors import apply_adversary
+        from repro.adversary.scenarios import get_scenario
 
-        apply_adversary(cluster, adversary_config, seed=seed)
-    clients_pool = ClosedLoopClients(
-        cluster,
-        num_clients=clients,
-        request_size=request_size,
-        reply_size=reply_size,
-        token_weight=_token_weight(clients),
-        target="leader",
-        warmup=warmup,
-        mode=client.mode if client is not None else "hub",
-        client_config=client,
-    )
+        adversary = scenario.adversary
+        if isinstance(adversary, str):
+            # A named scenario contributes its config; its verdict
+            # expectations only apply to campaigns.
+            adversary = get_scenario(adversary).adversary
+        apply_adversary(cluster, adversary, seed=scenario.seed)
+    pool = ClosedLoopClients(cluster, **_workload(scenario))
     cluster.start()
-    cluster.sim.schedule(0.01, clients_pool.start)
-    cluster.run(until=sim_time)
+    cluster.sim.schedule(0.01, pool.start)
+    cluster.run(until=scenario.sim_time)
     cluster.assert_safety()
     phase_latency = None
     if observability is not None:
         observability.finish(cluster.sim.now)
         phase_latency = observability.phase_latency_summary()
-    summary = clients_pool.summary()
-    duration = sim_time - warmup
+    summary = pool.summary()
     result = RunResult(
-        clients=clients,
-        throughput_tps=clients_pool.throughput.throughput(duration=duration),
+        clients=scenario.clients,
+        throughput_tps=pool.throughput.throughput(duration=scenario.sim_time - scenario.warmup),
         mean_latency=summary["mean_latency"],
         p50_latency=summary["p50_latency"],
         p99_latency=summary["p99_latency"],
         blocks_committed=max(r.stats["blocks_committed"] for r in cluster.replicas),
-        sim_time=sim_time,
+        sim_time=scenario.sim_time,
         phase_latency=phase_latency,
-        p90_latency=clients_pool.latency.p90(),
-        p999_latency=clients_pool.latency.p999(),
+        p90_latency=pool.latency.p90(),
+        p999_latency=pool.latency.p999(),
     )
     journey = getattr(observability, "journey", None)
     if journey is not None:
         from repro.obs.journey import build_waterfall
 
         result.waterfall = build_waterfall(
-            journey, end_to_end=clients_pool.latency, window_start=warmup
+            journey, end_to_end=pool.latency, window_start=scenario.warmup
         )
     return result, cluster
 
 
-def _sharded_load_point(
-    experiment: ExperimentConfig,
-    shard,
-    protocol: str,
-    clients: int,
-    sim_time: float,
-    warmup: float,
-    request_size: int,
-    reply_size: int,
-    observability,
-    pipeline,
-    crypto: str,
-    client,
-    des_jobs: int = 1,
-):
+def _workload(scenario: Scenario) -> dict:
+    """The closed-loop client population of a load point."""
+    client = scenario.client
+    return dict(
+        num_clients=scenario.clients,
+        request_size=scenario.request_size,
+        reply_size=scenario.reply_size,
+        token_weight=_token_weight(scenario.clients),
+        target="leader",
+        warmup=scenario.warmup,
+        mode=client.mode if client is not None else "hub",
+        client_config=client,
+    )
+
+
+def _run_sharded(scenario: Scenario, experiment: ExperimentConfig, observability):
     """One closed-loop load point over G independent groups.
 
     Same methodology as the unsharded point — equal per-group cluster
@@ -284,43 +346,27 @@ def _sharded_load_point(
             "shard.shards == 1"
         )
     journey = observability.journey if observability is not None else None
-    workload = dict(
-        num_clients=clients,
-        request_size=request_size,
-        reply_size=reply_size,
-        token_weight=_token_weight(clients),
-        target="leader",
-        warmup=warmup,
-        mode=client.mode if client is not None else "hub",
-        client_config=client,
-    )
+    shard = scenario.resolved_shard()
+    sim_time, warmup = scenario.sim_time, scenario.warmup
     duration = sim_time - warmup
-    if des_jobs > 1:
+    engine = dict(
+        shard=shard,
+        protocol=scenario.protocol,
+        crypto_mode=scenario.crypto,
+        pipeline=scenario.pipeline,
+        journey=journey,
+    )
+    if scenario.des_jobs > 1:
         from repro.shard.parallel import ParallelShardedCluster
 
-        sharded = ParallelShardedCluster(
-            experiment,
-            shard=shard,
-            protocol=protocol,
-            crypto_mode=crypto,
-            pipeline=pipeline,
-            jobs=des_jobs,
-            journey=journey,
-        )
-        sharded.run_workload(sim_time=sim_time, **workload)
+        sharded = ParallelShardedCluster(experiment, jobs=scenario.des_jobs, **engine)
+        sharded.run_workload(sim_time=sim_time, **_workload(scenario))
         per_shard_tps = sharded.per_shard_tps(duration)
         latency = sharded.merged_latency(window_start=warmup)
         blocks = sharded.blocks_committed
     else:
-        sharded = ShardedCluster(
-            experiment,
-            shard=shard,
-            protocol=protocol,
-            crypto_mode=crypto,
-            pipeline=pipeline,
-            journey=journey,
-        )
-        pool = ShardedClosedLoopClients(sharded, **workload)
+        sharded = ShardedCluster(experiment, **engine)
+        pool = ShardedClosedLoopClients(sharded, **_workload(scenario))
         sharded.start()
         sharded.sim.schedule(0.01, pool.start)
         sharded.run(until=sim_time)
@@ -335,7 +381,7 @@ def _sharded_load_point(
             for group in sharded.groups
         )
     result = RunResult(
-        clients=clients,
+        clients=scenario.clients,
         throughput_tps=sum(per_shard_tps),
         mean_latency=latency.mean(),
         p50_latency=latency.p50(),
@@ -356,76 +402,52 @@ def _sharded_load_point(
     return result, sharded
 
 
-def _latency_breakdown(
-    protocol: str = "marlin",
-    f: int = 1,
-    clients: int = 512,
-    sim_time: float = 22.0,
-    warmup: float = 7.0,
-    seed: int = 1,
-    sample_rate: float = 1.0,
-    request_size: int = 150,
-    reply_size: int = 150,
-    crypto: str = "null",
-    client=None,
-    cluster=None,
-    shard=None,
-    pipeline=None,
-    des_jobs: int = 1,
-):
+def _load_point_ex(protocol: str, f: int, clients: int, observability=None, **fields):
+    """:func:`run_point` over loose arguments: ``fields`` are :class:`Scenario` fields.
+
+    The entry point of a sweep task (see :mod:`repro.harness.parallel`).
+    """
+    scenario = Scenario(protocol=protocol, f=f, clients=clients, **fields)
+    return run_point(scenario, observability)
+
+
+def _latency_breakdown(scenario: Scenario, sample_rate: float = 1.0):
     """One load point with request-journey tracing armed.
 
-    Runs :func:`_load_point_ex` carrying a journey-only observability
-    layer — a seed-derived deterministic sample of the client population
-    gets every lifecycle checkpoint recorded (submit → routed → admitted
-    → proposed → qc → committed → executed → certified) — and returns
+    Runs :func:`run_point` carrying a journey-only observability layer —
+    a seed-derived deterministic sample of the client population gets
+    every lifecycle checkpoint recorded (submit → routed → admitted →
+    proposed → qc → committed → executed → certified) — and returns
     ``(result, recorder, cluster)``.  ``result.waterfall`` holds the
     critical-path decomposition; the recorder keeps the raw journeys for
-    Chrome-trace export and slowest-request inspection.  Works sharded
-    (``shard.shards > 1``): the one recorder is shared across groups.
+    Chrome-trace export and slowest-request inspection.  Works sharded:
+    the one recorder is shared across groups.
     """
     from repro.obs.journey import JourneyRecorder
     from repro.obs.observer import RunObservability
 
-    recorder = JourneyRecorder(seed, rate=sample_rate)
+    recorder = JourneyRecorder(scenario.seed, rate=sample_rate)
     observability = RunObservability(trace=False, metrics=False, journey=recorder)
-    result, finished = _load_point_ex(
-        protocol,
-        f,
-        clients,
-        sim_time=sim_time,
-        warmup=warmup,
-        request_size=request_size,
-        reply_size=reply_size,
-        seed=seed,
-        observability=observability,
-        pipeline=pipeline,
-        crypto=crypto,
-        client=client,
-        cluster=cluster,
-        shard=shard,
-        des_jobs=des_jobs,
-    )
+    result, finished = run_point(scenario, observability)
     return result, recorder, finished
 
 
 def _traced_scenario(
-    protocol: str,
-    f: int = 1,
-    seed: int = 1,
+    scenario: Scenario,
     sim_time: float = 5.0,
     clients: int = 32,
     crash_leader_at: float | None = None,
     force_unhappy: bool = False,
     observability=None,
-    pipeline=None,
 ):
     """A short, fully observed run for trace export (``repro trace``).
 
-    Runs the protocol at light load over the paper's testbed profile —
-    every block lifecycle and (with ``crash_leader_at``) a view change
-    lands in the returned observability's tracer.  Deterministic: the
-    same arguments produce byte-identical Chrome-trace exports.
+    Runs ``scenario.protocol`` at light load over the paper's testbed
+    profile — every block lifecycle and (with ``crash_leader_at``) a view
+    change lands in the returned observability's tracer.  Only the
+    scenario's ``protocol``, ``f``, ``seed`` and ``pipeline`` apply.
+    Deterministic: the same arguments produce byte-identical
+    Chrome-trace exports.
 
     Returns ``(cluster, observability)``.
     """
@@ -434,14 +456,16 @@ def _traced_scenario(
     if observability is None:
         observability = RunObservability()
     base_timeout = 0.5 if crash_leader_at is not None else 60.0
-    experiment = _experiment(f, seed=seed, batch=2000, base_timeout=base_timeout)
+    experiment = _experiment(
+        scenario.f, seed=scenario.seed, batch=2000, base_timeout=base_timeout
+    )
     cluster = DESCluster(
         experiment,
-        protocol=protocol,
+        protocol=scenario.protocol,
         crypto_mode="null",
         force_unhappy=force_unhappy,
         observability=observability,
-        pipeline=pipeline,
+        pipeline=scenario.pipeline,
     )
     pool = ClosedLoopClients(
         cluster, num_clients=clients, token_weight=1, target="all", warmup=0.0
@@ -454,51 +478,6 @@ def _traced_scenario(
     cluster.assert_safety()
     observability.finish(cluster.sim.now)
     return cluster, observability
-
-
-def _throughput_latency_curve(
-    protocol: str,
-    f: int,
-    client_counts: list[int],
-    latency_cap: float = LATENCY_CAP,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir=None,
-    **kwargs,
-) -> list[RunResult]:
-    """Sweep the client population, stopping once latency exceeds the cap.
-
-    The paper's Fig. 10a-f plots stop around 1000 ms; the sweep keeps the
-    first point past the cap so the cap crossing can be interpolated.
-
-    ``jobs`` fans the (independent, deterministic) points across worker
-    processes; ``use_cache`` reuses on-disk results keyed by scenario +
-    code fingerprint.  Both produce output byte-identical to the plain
-    serial sweep.  Runs that carry an observability layer stay serial —
-    collectors are process-local.
-    """
-    observability = kwargs.get("observability")
-    if (jobs > 1 or use_cache) and observability is None:
-        from repro.harness.parallel import ResultCache, SweepExecutor
-
-        task = {"protocol": protocol, "f": f, **kwargs}
-        task.pop("observability", None)
-        cache = ResultCache(cache_dir) if use_cache else None
-        with SweepExecutor(jobs=jobs, cache=cache) as executor:
-            return executor.run_curve(task, client_counts, latency_cap)
-    if jobs > 1 and observability is not None:
-        warnings.warn(
-            "observability collectors are process-local; running the sweep serially",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    results: list[RunResult] = []
-    for clients in client_counts:
-        point = _load_point(protocol, f, clients, **kwargs)
-        results.append(point)
-        if point.mean_latency > latency_cap:
-            break
-    return results
 
 
 def peak_at_latency_cap(curve: list[RunResult], latency_cap: float = LATENCY_CAP) -> float:
@@ -524,87 +503,6 @@ def peak_at_latency_cap(curve: list[RunResult], latency_cap: float = LATENCY_CAP
         first_over.throughput_tps - last.throughput_tps
     )
     return max(interpolated, max(p.throughput_tps for p in under))
-
-
-def _peak_throughput(
-    protocol: str,
-    f: int,
-    client_counts: list[int] | None = None,
-    latency_cap: float = LATENCY_CAP,
-    jobs: int = 1,
-    use_cache: bool = False,
-    cache_dir=None,
-    strategy: str = "sweep",
-    **kwargs,
-) -> tuple[float, list[RunResult]]:
-    """Peak throughput (Fig. 10g/10h methodology) plus the raw curve.
-
-    ``strategy="sweep"`` walks the client grid linearly (the default, and
-    the paper's methodology); ``strategy="bisect"`` binary-searches the
-    grid for the latency-cap crossing — closed-loop latency is monotone
-    in the client population — evaluating ``jobs`` probes per round.
-    """
-    if strategy not in ("sweep", "bisect"):
-        raise ConfigError(f"strategy must be 'sweep' or 'bisect', got {strategy!r}")
-    if client_counts is None:
-        client_counts = default_client_sweep(f)
-    if strategy == "bisect":
-        from repro.harness.parallel import ResultCache, SweepExecutor, bisect_peak
-
-        task = {"protocol": protocol, "f": f, **kwargs}
-        task.pop("observability", None)
-        cache = ResultCache(cache_dir) if use_cache else None
-        with SweepExecutor(jobs=jobs, cache=cache) as executor:
-            curve = bisect_peak(executor, task, client_counts, latency_cap)
-        return peak_at_latency_cap(curve, latency_cap), curve
-    curve = _throughput_latency_curve(
-        protocol,
-        f,
-        client_counts,
-        latency_cap,
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        **kwargs,
-    )
-    return peak_at_latency_cap(curve, latency_cap), curve
-
-
-# ---------------------------------------------------------------------------
-# Deprecated public aliases (use repro.api)
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.harness.scenarios.{old} is deprecated; use repro.api.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_load_point(*args, **kwargs) -> RunResult:
-    """Deprecated: use :func:`repro.api.load_point`."""
-    _deprecated("run_load_point", "load_point")
-    return _load_point(*args, **kwargs)
-
-
-def run_traced_scenario(*args, **kwargs):
-    """Deprecated: use :func:`repro.api.traced_run`."""
-    _deprecated("run_traced_scenario", "traced_run")
-    return _traced_scenario(*args, **kwargs)
-
-
-def throughput_latency_curve(*args, **kwargs) -> list[RunResult]:
-    """Deprecated: use :func:`repro.api.throughput_curve`."""
-    _deprecated("throughput_latency_curve", "throughput_curve")
-    return _throughput_latency_curve(*args, **kwargs)
-
-
-def peak_throughput(*args, **kwargs) -> tuple[float, list[RunResult]]:
-    """Deprecated: use :func:`repro.api.peak_throughput`."""
-    _deprecated("peak_throughput", "peak_throughput")
-    return _peak_throughput(*args, **kwargs)
-
 
 def default_client_sweep(f: int) -> list[int]:
     """A geometric client sweep sized to the cluster's expected capacity."""

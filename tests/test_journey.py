@@ -19,7 +19,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.client.config import ClientConfig
 from repro.harness.metrics import LatencyRecorder
-from repro.harness.scenarios import _latency_breakdown, _load_point_ex
+from repro.harness.scenarios import Scenario, _latency_breakdown, _load_point_ex
 from repro.obs.journey import (
     CK_CERTIFIED,
     CK_COMMITTED,
@@ -214,7 +214,7 @@ _RUN = dict(clients=256, sim_time=14.0, warmup=5.0, seed=3)
 
 class TestJourneyRuns:
     def test_hub_run_reconciles(self):
-        result, _recorder, _ = _latency_breakdown(**_RUN)
+        result, _recorder, _ = _latency_breakdown(Scenario(**_RUN))
         waterfall = result.waterfall
         assert waterfall is not None
         assert waterfall["journeys"]["complete"] > 0
@@ -226,8 +226,8 @@ class TestJourneyRuns:
         assert "consensus_prepare" in stages and "consensus_commit" in stages
 
     def test_runs_are_byte_identical(self):
-        _, first, _ = _latency_breakdown(sample_rate=0.5, **_RUN)
-        result, second, _ = _latency_breakdown(sample_rate=0.5, **_RUN)
+        _, first, _ = _latency_breakdown(Scenario(**_RUN), 0.5)
+        result, second, _ = _latency_breakdown(Scenario(**_RUN), 0.5)
         assert journeys_blob(first) == journeys_blob(second)
         assert waterfall_json(result.waterfall) == waterfall_json(
             build_waterfall(first, end_to_end=result.waterfall["end_to_end"]["recorder_p50"],
@@ -235,8 +235,8 @@ class TestJourneyRuns:
         )
 
     def test_sampling_subsets_the_full_set(self):
-        _, full, _ = _latency_breakdown(**_RUN)
-        _, sampled, _ = _latency_breakdown(sample_rate=0.25, **_RUN)
+        _, full, _ = _latency_breakdown(Scenario(**_RUN))
+        _, sampled, _ = _latency_breakdown(Scenario(**_RUN), 0.25)
         full_keys = {key for key, _ in full.journeys()}
         sampled_keys = {key for key, _ in sampled.journeys()}
         assert 0 < len(sampled_keys) < len(full_keys)
@@ -244,7 +244,7 @@ class TestJourneyRuns:
 
     def test_sharded_run_adds_routing_stage(self):
         result, _, _ = _latency_breakdown(
-            shard=ShardConfig(shards=2), clients=256, sim_time=14.0, warmup=5.0, seed=3
+            Scenario(shard=ShardConfig(shards=2), clients=256, sim_time=14.0, warmup=5.0, seed=3)
         )
         waterfall = result.waterfall
         assert waterfall["journeys"]["complete"] > 0
@@ -253,11 +253,13 @@ class TestJourneyRuns:
 
     def test_real_client_mode_traces_admission(self):
         result, _recorder, _ = _latency_breakdown(
-            client=ClientConfig(mode="real"),
-            clients=32,
-            sim_time=14.0,
-            warmup=5.0,
-            seed=3,
+            Scenario(
+                client=ClientConfig(mode="real"),
+                clients=32,
+                sim_time=14.0,
+                warmup=5.0,
+                seed=3,
+            )
         )
         waterfall = result.waterfall
         assert waterfall["journeys"]["complete"] > 0
@@ -265,7 +267,7 @@ class TestJourneyRuns:
         assert waterfall["end_to_end"]["error"] < 0.05
 
     def test_disabled_rate_records_nothing(self):
-        result, recorder, cluster = _latency_breakdown(sample_rate=0.0, **_RUN)
+        result, recorder, cluster = _latency_breakdown(Scenario(**_RUN), 0.0)
         assert not recorder.enabled
         assert len(recorder) == 0
         assert result.waterfall is None
@@ -279,7 +281,7 @@ class TestJourneyRuns:
             "marlin", 1, _RUN["clients"], sim_time=_RUN["sim_time"],
             warmup=_RUN["warmup"], seed=_RUN["seed"],
         )
-        traced, _, on_cluster = _latency_breakdown(**_RUN)
+        traced, _, on_cluster = _latency_breakdown(Scenario(**_RUN))
         assert on_cluster.sim.events_processed == off_cluster.sim.events_processed
         assert traced.throughput_tps == pytest.approx(base.throughput_tps)
         assert traced.p50_latency == pytest.approx(base.p50_latency)
@@ -291,7 +293,7 @@ class TestJourneyRuns:
 
 class TestSurfacing:
     def test_percentiles_on_run_result(self):
-        result, _, _ = _latency_breakdown(**_RUN)
+        result, _, _ = _latency_breakdown(Scenario(**_RUN))
         assert 0.0 < result.p50_latency <= result.p90_latency
         assert result.p90_latency <= result.p999_latency
 

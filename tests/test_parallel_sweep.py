@@ -15,10 +15,9 @@ import time
 import pytest
 
 import repro.harness.parallel as parallel
-from repro.api import Scenario, throughput_curve
+from repro.api import Scenario, peak_throughput, throughput_curve
 from repro.common.errors import ConfigError, WorkerCrashError
 from repro.harness.parallel import ResultCache, SweepExecutor, bisect_peak, code_fingerprint
-from repro.harness.scenarios import _peak_throughput, _throughput_latency_curve
 
 POINT_KW = dict(
     sim_time=4.0,
@@ -30,6 +29,7 @@ POINT_KW = dict(
     pipeline=None,
 )
 BASE_TASK = {"protocol": "marlin", "f": 1, **POINT_KW}
+SCENARIO = Scenario(protocol="marlin", f=1, **POINT_KW)
 NO_CAP = 1e9  # latency cap no point reaches: the whole grid is evaluated
 
 
@@ -40,7 +40,7 @@ class TestExecutor:
 
     def test_parallel_curve_identical_to_serial(self):
         counts = [64, 128, 256, 512]
-        serial = _throughput_latency_curve("marlin", 1, counts, NO_CAP, **POINT_KW)
+        serial = throughput_curve(SCENARIO, counts, latency_cap=NO_CAP)
         assert len(serial) == len(counts)
         with SweepExecutor(jobs=4) as executor:
             fanned = executor.run_curve(BASE_TASK, counts, NO_CAP)
@@ -167,16 +167,16 @@ class TestBisect:
         counts = [32, 128, 512, 2048, 8192]
         # Establish latencies, then set the cap so the crossing happens
         # mid-grid — the interesting case for the bisection.
-        full = _throughput_latency_curve("marlin", 1, counts, NO_CAP, **POINT_KW)
+        full = throughput_curve(SCENARIO, counts, latency_cap=NO_CAP)
         latencies = [p.mean_latency for p in full]
         assert latencies == sorted(latencies), "closed-loop latency must be monotone"
         cap = (latencies[2] + latencies[3]) / 2
 
-        peak_sweep, curve_sweep = _peak_throughput(
-            "marlin", 1, counts, cap, strategy="sweep", **POINT_KW
+        peak_sweep, curve_sweep = peak_throughput(
+            SCENARIO, counts, latency_cap=cap, strategy="sweep"
         )
-        peak_bisect, curve_bisect = _peak_throughput(
-            "marlin", 1, counts, cap, strategy="bisect", **POINT_KW
+        peak_bisect, curve_bisect = peak_throughput(
+            SCENARIO, counts, latency_cap=cap, strategy="bisect"
         )
         assert peak_bisect == peak_sweep
         # Both curves end at the same first-over-cap point, and every
@@ -190,7 +190,7 @@ class TestBisect:
         counts = [32, 64]
         with SweepExecutor(jobs=1) as executor:
             curve = bisect_peak(executor, BASE_TASK, counts, NO_CAP)
-        serial = _throughput_latency_curve("marlin", 1, counts, NO_CAP, **POINT_KW)
+        serial = throughput_curve(SCENARIO, counts, latency_cap=NO_CAP)
         assert curve == serial
 
     def test_bisect_first_point_over_cap(self):
@@ -201,4 +201,4 @@ class TestBisect:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigError):
-            _peak_throughput("marlin", 1, [32], 1.0, strategy="golden", **POINT_KW)
+            peak_throughput(SCENARIO, [32], latency_cap=1.0, strategy="golden")

@@ -1,5 +1,5 @@
 """The public API contract: ``__all__`` resolves, the facade works, and
-legacy entry points keep working behind deprecation warnings."""
+the facade emits no deprecation warnings."""
 
 from __future__ import annotations
 
@@ -8,7 +8,14 @@ import pytest
 import repro
 import repro.adversary
 import repro.api
-from repro.api import PipelineConfig, Scenario, load_point, traced_run
+from repro.api import (
+    ClusterConfig,
+    PipelineConfig,
+    Scenario,
+    load_point,
+    throughput_curve,
+    traced_run,
+)
 
 
 class TestAllIsTheContract:
@@ -137,40 +144,13 @@ class TestScenarioFacade:
         assert cluster.experiment.cluster.num_replicas == 4
         assert obs.tracer.spans
 
+    def test_default_sweep_sized_to_explicit_cluster(self):
+        # The n = 31 cluster, not the default f = 1, picks the grid.
+        scenario = Scenario(cluster=ClusterConfig.for_f(10), sim_time=2.0, warmup=0.5)
+        assert throughput_curve(scenario, latency_cap=0.0)[0].clients == 512
+
 
 class TestDeprecatedAliases:
-    def test_run_load_point_warns_and_delegates(self):
-        from repro.harness.scenarios import run_load_point
-
-        with pytest.warns(DeprecationWarning, match="repro.api.load_point"):
-            result = run_load_point("marlin", 1, 16, sim_time=2.0, warmup=0.5)
-        assert result.throughput_tps > 0
-
-    def test_run_traced_scenario_warns_and_delegates(self):
-        from repro.harness.scenarios import run_traced_scenario
-
-        with pytest.warns(DeprecationWarning, match="repro.api.traced_run"):
-            _, obs = run_traced_scenario("marlin", f=1, seed=2, sim_time=1.5)
-        assert obs.tracer.spans
-
-    def test_throughput_latency_curve_warns_and_delegates(self):
-        from repro.harness.scenarios import throughput_latency_curve
-
-        with pytest.warns(DeprecationWarning, match="repro.api.throughput_curve"):
-            curve = throughput_latency_curve(
-                "marlin", 1, [16], sim_time=2.0, warmup=0.5
-            )
-        assert len(curve) == 1
-
-    def test_peak_throughput_warns_and_delegates(self):
-        from repro.harness.scenarios import peak_throughput
-
-        with pytest.warns(DeprecationWarning, match="repro.api.peak_throughput"):
-            peak, curve = peak_throughput(
-                "marlin", 1, [16], sim_time=2.0, warmup=0.5
-            )
-        assert curve and peak >= 0
-
     def test_new_facade_does_not_warn(self, recwarn):
         load_point(Scenario(protocol="marlin", f=1, clients=16, sim_time=2.0, warmup=0.5))
         assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
