@@ -8,8 +8,8 @@ read/lease handlers through its dispatch table) and owns four concerns:
 * **exactly-once** — a :class:`SessionTable` remembers, per client, the
   highest committed sequence and its cached reply.  A retransmitted,
   already-committed request is answered from that cache and *never*
-  reaches the pool or the state machine again (the ledger's
-  ``_executed_keys`` is the second, independent line of defence);
+  reaches the pool or the state machine again (the executed-key set of
+  the ledger's commit log is the second, independent line of defence);
 * **replies** — on every commit the service sends each operation's
   client a :class:`~repro.consensus.messages.ClientReply` carrying
   ``(view, seq, result_digest)``, the triple reply certificates are made

@@ -48,16 +48,3 @@ def percentile(values: Sequence[float], pct: float) -> float:
         return ordered[0]
     rank = max(1, int(round(pct / 100.0 * len(ordered) + 0.5)) - 1)
     return ordered[min(rank, len(ordered) - 1)]
-
-
-def format_bytes(size: float) -> str:
-    """Human-readable byte count, e.g. ``format_bytes(2048) == '2.0 KiB'``."""
-    units = ["B", "KiB", "MiB", "GiB", "TiB"]
-    value = float(size)
-    for unit in units:
-        if abs(value) < 1024.0 or unit == units[-1]:
-            if unit == "B":
-                return f"{int(value)} {unit}"
-            return f"{value:.1f} {unit}"
-        value /= 1024.0
-    raise AssertionError("unreachable")

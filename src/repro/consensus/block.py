@@ -394,10 +394,14 @@ class BatchPool:
         return sum(op.weight for op in self._staged) if self._staged else 0
 
     def forget(self, ops: tuple[Operation, ...]) -> None:
-        """Prune committed operations from the pending queue."""
-        keys = {op._key for op in ops}
-        if not keys:
+        """Prune committed operations from the pending queue.
+
+        Returns at once when nothing is pending or staged, as on every
+        replica but the leader when clients send to the leader.
+        """
+        if not ops or not (self._pending or self._staged):
             return
+        keys = {op._key for op in ops}
         if self._pending:
             self._pending = [op for op in self._pending if op._key not in keys]
         if self._staged is not None and any(op._key in keys for op in self._staged):

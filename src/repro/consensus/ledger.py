@@ -10,6 +10,13 @@ suites use as a tripwire (it must never fire for correct protocols).
 The ledger also drives execution: committed operations are applied, in
 block order, to an application callback, and per-operation commit
 latencies are handed to the metrics sink.
+
+Agreement says every correct replica commits a prefix of one chain, so
+the chain's exactly-once bookkeeping is kept once per chain, in a
+:class:`CommitLog`, and each ledger is a cursor into a log.  A lone
+ledger owns a private log; a simulated consensus group hands one log to
+all of its ledgers (:meth:`Ledger.share_log`), so a block's new
+operations are worked out once per group instead of once per replica.
 """
 
 from __future__ import annotations
@@ -22,8 +29,81 @@ from repro.consensus.blocktree import BlockTree
 from repro.crypto.hashing import Digest
 
 
+class CommitLog:
+    """One record of a committed chain, readable by many ledgers.
+
+    Entry ``i`` is the chain's ``i``-th block (entry 0 is the root the
+    chain grows from: genesis, or a snapshot head): its digest, the total
+    weight of the operations that were new when it committed, and those
+    new operations — the block's own ``operations`` tuple when every one
+    was new.  ``index`` maps each digest to its position, and ``keys``
+    holds every key executed up to the tip.
+
+    A ledger whose committed branch agrees with the log at every position
+    reads the recorded answers; only a ledger at the tip computes one, by
+    appending.  The recorded answer is exact for every ledger that
+    reaches it, because a digest fixes the block's operations and equal
+    prefixes leave equal key sets behind.
+    """
+
+    __slots__ = ("digests", "new_weights", "new_ops", "index", "keys")
+
+    def __init__(self, root: Digest) -> None:
+        self.digests: list[Digest] = [root]
+        self.new_weights: list[int] = [0]
+        self.new_ops: list[tuple[Operation, ...]] = [()]
+        self.index: dict[Digest, int] = {root: 0}
+        self.keys = KeySet()
+
+    def append(self, block: Block) -> None:
+        """Record ``block`` at the tip: which of its operations are new.
+
+        Exactly-once execution: an operation re-proposed by a later leader
+        (possible under rotation and after a view change), or repeated
+        within a block, executes and counts once, at its first weight.
+        """
+        is_new = self.keys.add
+        ops = block.operations
+        new: list[Operation] = []
+        weight = 0
+        for op in ops:
+            if is_new(op._key):
+                new.append(op)
+                weight += op.weight
+        self.index[block.digest] = len(self.digests)
+        self.digests.append(block.digest)
+        self.new_weights.append(weight)
+        self.new_ops.append(ops if len(new) == len(ops) else tuple(new))
+
+    def prefix(self, length: int) -> "CommitLog":
+        """A private log of the first ``length`` entries.
+
+        Its key set is replayed from the recorded new operations, which
+        adds exactly the keys the prefix executed.
+        """
+        log = CommitLog(self.digests[0])
+        log.digests = self.digests[:length]
+        log.new_weights = self.new_weights[:length]
+        log.new_ops = self.new_ops[:length]
+        log.index = {digest: i for i, digest in enumerate(log.digests)}
+        add = log.keys.add
+        for ops in log.new_ops:
+            for op in ops:
+                add(op._key)
+        return log
+
+
 class Ledger:
-    """Tracks the committed branch of one replica and executes it."""
+    """Tracks the committed branch of one replica and executes it.
+
+    The branch is the first ``_length`` entries of ``_log``.  Committing
+    block ``B`` at position ``i`` takes the log's recorded answer when
+    entry ``i`` is ``B``, appends ``B`` when ``i`` is the log's tip, and
+    otherwise — this ledger committed a block another ledger of the log
+    did not — moves to a private copy of its own prefix first, so no
+    other ledger's answers change.  ``install_snapshot`` and
+    ``mark_committed`` also leave the ledger on a private log.
+    """
 
     def __init__(
         self,
@@ -34,18 +114,36 @@ class Ledger:
         self._tree = tree
         self._on_execute = on_execute
         self._on_commit_block = on_commit_block
-        self._committed: list[Digest] = [tree.genesis.digest]
-        self._committed_set: set[Digest] = {tree.genesis.digest}
-        self._executed_keys = KeySet()
+        self._log = CommitLog(tree.genesis.digest)
+        self._shared = False
+        self._length = 1
         self._ops_committed = 0
 
     def set_executor(self, on_execute: Callable[[Block, Operation], None]) -> None:
         """Attach (or replace) the application execution callback."""
         self._on_execute = on_execute
 
+    def share_log(self, log: CommitLog) -> None:
+        """Follow ``log``, the committed chain shared by a consensus group.
+
+        Call before this ledger commits anything; ``log`` must grow from
+        the same root.  On-execute callbacks and commit listeners still
+        run per ledger, for the recorded new operations.
+        """
+        if self._length != 1 or log.digests[0] != self._log.digests[0]:
+            raise ValueError("a shared log must be joined at its root, before any commit")
+        self._log = log
+        self._shared = True
+
+    def _detach(self) -> CommitLog:
+        """Move to a private copy of this ledger's prefix of the log."""
+        self._log = self._log.prefix(self._length)
+        self._shared = False
+        return self._log
+
     @property
     def committed_head(self) -> Block:
-        head = self._tree.get(self._committed[-1])
+        head = self._tree.get(self._log.digests[self._length - 1])
         assert head is not None, "committed head must stay in the tree"
         return head
 
@@ -56,23 +154,25 @@ class Ledger:
     @property
     def num_committed_blocks(self) -> int:
         """Committed blocks excluding genesis."""
-        return len(self._committed) - 1
+        return self._length - 1
 
     @property
     def ops_committed(self) -> int:
         return self._ops_committed
 
     def is_committed(self, digest: Digest) -> bool:
-        return digest in self._committed_set
+        position = self._log.index.get(digest)
+        return position is not None and position < self._length
 
     def committed_digests(self) -> list[Digest]:
-        return list(self._committed)
+        return self._log.digests[: self._length]
 
     def can_commit(self, block: Block) -> bool:
         """True if ``block``'s branch is fully known down to the head."""
-        if block.digest in self._committed_set:
+        if self.is_committed(block.digest):
             return True
-        return self._tree.path_between(self._committed[-1], block) is not None
+        head = self._log.digests[self._length - 1]
+        return self._tree.path_between(head, block) is not None
 
     def mark_committed(self, block: Block) -> None:
         """Restore path: record ``block`` as committed WITHOUT executing.
@@ -81,18 +181,17 @@ class Ledger:
         application state was persisted separately — re-executing would
         double-apply.  The block must directly extend the committed head.
         """
-        if block.digest in self._committed_set:
+        if self.is_committed(block.digest):
             return
         head = self.committed_head
         if self._tree.parent_digest(block) != head.digest:
             raise SafetyViolation(
                 f"restore out of order: {block!r} does not extend {head!r}"
             )
-        self._committed.append(block.digest)
-        self._committed_set.add(block.digest)
-        for op in block.operations:
-            if self._executed_keys.add(op._key):
-                self._ops_committed += op.weight
+        log = self._detach() if self._shared else self._log
+        log.append(block)
+        self._length += 1
+        self._ops_committed += log.new_weights[-1]
 
     def install_snapshot(self, head: Block) -> None:
         """Adopt ``head`` as the committed frontier without replay.
@@ -100,21 +199,22 @@ class Ledger:
         Used by checkpoint-based state transfer: the application state
         arrives separately; the ledger only needs to know where the
         committed branch now ends.  History below ``head`` is treated as
-        committed-but-unknown, and the executed-key set is cleared: dedup
-        restarts at the snapshot boundary, as in checkpointed BFT systems
-        generally, and each client's run begins again at the first key
-        committed above ``head``.
+        committed-but-unknown, and the ledger moves to a private log
+        rooted at ``head`` with an empty key set: dedup restarts at the
+        snapshot boundary, as in checkpointed BFT systems generally, and
+        each client's run begins again at the first key committed above
+        ``head``.
         """
-        if self._committed_set and head.digest in self._committed_set:
+        if self.is_committed(head.digest):
             return
-        if head.height <= self.committed_head.height and len(self._committed) > 1:
+        if head.height <= self.committed_head.height and self._length > 1:
             raise SafetyViolation(
                 f"snapshot head {head!r} is below the committed head"
             )
         self._tree.add(head)
-        self._committed = [head.digest]
-        self._committed_set = {head.digest}
-        self._executed_keys.clear()
+        self._log = CommitLog(head.digest)
+        self._shared = False
+        self._length = 1
 
     def commit(self, block: Block) -> list[Block]:
         """Commit ``block`` and all uncommitted ancestors; returns them.
@@ -123,9 +223,11 @@ class Ledger:
         committed branch, and ``ValueError`` if ancestors are missing
         (callers must block-sync first; see :meth:`can_commit`).
         """
-        if block.digest in self._committed_set:
+        log = self._log
+        position = log.index.get(block.digest)
+        if position is not None and position < self._length:
             return []
-        path = self._tree.path_between(self._committed[-1], block)
+        path = self._tree.path_between(log.digests[self._length - 1], block)
         if path is None:
             if self._tree.missing_ancestor(block) is not None:
                 raise ValueError(
@@ -134,20 +236,20 @@ class Ledger:
             raise SafetyViolation(
                 f"block {block!r} conflicts with committed head {self.committed_head!r}"
             )
-        is_new = self._executed_keys.add
         on_execute = self._on_execute
         on_commit_block = self._on_commit_block
         for node in path:
-            self._committed.append(node.digest)
-            self._committed_set.add(node.digest)
-            for op in node.operations:
-                # Exactly-once execution: an operation re-proposed by a
-                # later leader (possible under rotation), or repeated within
-                # a block, executes and counts once.
-                if is_new(op._key):
-                    self._ops_committed += op.weight
-                    if on_execute is not None:
-                        on_execute(node, op)
+            i = self._length
+            if i == len(log.digests):
+                log.append(node)
+            elif log.digests[i] != node.digest:
+                log = self._detach()
+                log.append(node)
+            self._length = i + 1
+            self._ops_committed += log.new_weights[i]
+            if on_execute is not None:
+                for op in log.new_ops[i]:
+                    on_execute(node, op)
             if on_commit_block is not None:
                 on_commit_block(node)
         return path

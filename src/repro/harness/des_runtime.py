@@ -22,6 +22,7 @@ from typing import Any, Callable
 
 from repro.common.config import ExperimentConfig
 from repro.common.errors import ConfigError
+from repro.consensus.block import genesis_block
 from repro.consensus.context import NodeContext
 from repro.consensus.costs import PaperCostModel, ZeroCostModel
 from repro.consensus.crypto_service import (
@@ -34,6 +35,7 @@ from repro.consensus.chained import ChainedHotStuffReplica, ChainedMarlinReplica
 from repro.consensus.fasthotstuff import FastHotStuffReplica
 from repro.consensus.hotstuff.replica import HotStuffReplica
 from repro.consensus.learner import LearnerReplica
+from repro.consensus.ledger import CommitLog
 from repro.consensus.marlin.replica import MarlinReplica
 from repro.consensus.pipeline import PipelineConfig
 from repro.consensus.replica_base import ReplicaBase
@@ -116,6 +118,11 @@ class DESCluster:
     the hook shard guards use to reject mis-routed commands; ``None``
     keeps the unfiltered fast path.  ``net_rng`` overrides the network's
     jitter RNG (sharded runs pass a per-group stream so groups decouple).
+
+    Every replica's and learner's ledger follows one
+    :class:`~repro.consensus.ledger.CommitLog`: the group works out each
+    committed block's new operations once, and a ledger that ever commits
+    a different block moves to a private log.
     """
 
     def __init__(
@@ -173,6 +180,7 @@ class DESCluster:
         else:
             self.costs = ZeroCostModel()
         self.auditor = CommitAuditor(cluster.total_replicas)
+        commit_log = CommitLog(genesis_block().digest)
 
         self.processes: list[Process] = []
         self.replicas: list[Any] = []
@@ -200,6 +208,7 @@ class DESCluster:
                 replica.attach_observer(
                     observability.replica_obs(replica_id, replica.protocol_name)
                 )
+            replica.ledger.share_log(commit_log)
             replica.commit_listeners.append(self.auditor.listener_for(replica_id))
             self.processes.append(process)
             self.replicas.append(replica)

@@ -31,6 +31,7 @@ from repro.common.errors import ConfigError
 from repro.consensus.block import Block, Operation
 from repro.consensus.messages import ClientRequestBatch, ReplyBatch
 from repro.consensus.replica_base import ReplicaBase
+from repro.crypto.hashing import Digest
 from repro.harness.des_runtime import DESCluster
 from repro.harness.metrics import LatencyRecorder, ThroughputMeter
 from repro.obs.journey import CK_CERTIFIED, CK_EXECUTED, CK_ROUTED, CK_SUBMIT
@@ -90,7 +91,27 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
     closed-loop generators).  Their latency samples are appended here, and
     their throughput is recorded as one weighted count: every op of a
     batch certifies at the same instant, so the window test runs once.
+
+    A block is *finished* once a walk of one of its batches leaves none of
+    its keys outstanding; the block's later batches return ``[]`` before
+    the walk.  That is exact: keys never return (each client's sequence
+    only grows, and a certified key has left ``_submit_time``), so a
+    skipped walk would only have found absent keys.  ``pool._replying``
+    holds ``[batches still due, finished]`` per block and drops the entry
+    when the last voting replica's batch arrives, so it is bounded without
+    a window.  A replica that crashes for good leaves at most one entry
+    per block committed after the crash.
     """
+    replying = pool._replying
+    digest = batch.block_digest
+    entry = replying.get(digest)
+    if entry is None:
+        replying[digest] = entry = [pool._voters, False]
+    entry[0] -= 1
+    if not entry[0]:
+        del replying[digest]
+    if entry[1]:
+        return []
     now = pool.cluster.sim.now
     replica_bit = 1 << batch.replica
     need = pool.f + 1
@@ -100,6 +121,7 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
     latency = pool.latency
     samples = latency.samples if latency.window_start <= now <= latency.window_end else None
     certified: list[tuple[int, int]] = []
+    outstanding = False
     for key in batch.op_keys:
         submitted = submit_time.get(key)
         if submitted is None:
@@ -107,12 +129,15 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
         mask = acks.get(key, 0) | replica_bit
         if mask.bit_count() < need:
             acks[key] = mask
+            outstanding = True
             continue
         del submit_time[key]
         acks.pop(key, None)
         if samples is not None:
             samples.append((now, now - submitted, weight))
         certified.append(key)
+    if not outstanding:
+        entry[1] = True
     if certified:
         pool.throughput.record(now, len(certified) * weight)
     return certified
@@ -167,6 +192,9 @@ class OpenLoopClients:
         self._submit_time: dict[tuple[int, int], float] = {}
         #: Replica-id bitmask per outstanding op (cheaper than a set).
         self._acks: dict[tuple[int, int], int] = {}
+        #: Per block with replies still due: [batches due, finished].
+        self._replying: dict[Digest, list] = {}
+        self._voters = experiment.cluster.num_replicas
         self._next_seq = 0
         self._carry = 0.0
         self._payload = b"x" * self.request_size
@@ -316,6 +344,9 @@ class ClosedLoopClients:
         self._submit_time: dict[tuple[int, int], float] = {}
         #: Replica-id bitmask per outstanding op (cheaper than a set).
         self._acks: dict[tuple[int, int], int] = {}
+        #: Per block with replies still due: [batches due, finished].
+        self._replying: dict[Digest, list] = {}
+        self._voters = experiment.cluster.num_replicas
         self._next_seq: dict[int, int] = {}
         self._payload = b"x" * self.request_size
         self._endpoints: list[Any] = []

@@ -4,6 +4,7 @@
 :class:`~repro.consensus.context.LocalContext` and pumps their outboxes in
 deterministic rounds, with optional message filtering — the tool used to
 construct the paper's Fig. 2 view-change snapshots exactly.
+:func:`assert_replies_in_flight` checks a hub pool's reply table.
 """
 
 from __future__ import annotations
@@ -135,3 +136,22 @@ class LocalNet:
 
     def views(self) -> list[int]:
         return [r.cview for r in self.replicas]
+
+
+def assert_replies_in_flight(cluster: Any, pool: Any, wire_time: float = 1.0) -> None:
+    """Every block left in the hub pool's reply table is still in flight.
+
+    The table drops a block once every voting replica's ReplyBatch for it
+    has arrived, so at the horizon it may only hold blocks some voting
+    replica has not committed yet, or committed within ``wire_time`` (an
+    upper bound on a reply's time on the wire in these runs).
+    """
+    voters = cluster.experiment.cluster.num_replicas
+    commit_times: dict[bytes, list[float]] = {}
+    for replica_id, _, digest, when in cluster.auditor.commits:
+        if replica_id < voters:
+            commit_times.setdefault(digest, []).append(when)
+    horizon = cluster.sim.now
+    for digest in pool._replying:
+        times = commit_times.get(digest, [])
+        assert len(times) < voters or max(times) > horizon - wire_time

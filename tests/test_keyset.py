@@ -98,8 +98,13 @@ def _experiment() -> ExperimentConfig:
 
 
 def _footprints(cluster: DESCluster, clients: int) -> list[tuple[int, int]]:
-    """``(runs, sparse keys)`` of every ledger and the leader's pool."""
-    keysets = [replica.ledger._executed_keys for replica in cluster.replicas]
+    """``(runs, sparse keys)`` of every distinct dedup key set.
+
+    That is the group's commit log, any private log a ledger moved to,
+    and the leader's pool.
+    """
+    logs = {id(replica.ledger._log): replica.ledger._log for replica in cluster.replicas}
+    keysets = [log.keys for log in logs.values()]
     keysets.append(cluster.leader_replica.pool._seen)
     prints = [(len(ks._runs), len(ks._sparse)) for ks in keysets]
     for runs, sparse in prints:

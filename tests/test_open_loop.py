@@ -8,6 +8,7 @@ from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
 from repro.harness.des_runtime import DESCluster
 from repro.harness.workload import OpenLoopClients
+from tests.helpers import assert_replies_in_flight
 
 
 def run_rate(rate: float, sim_time: float = 20.0, **kwargs):
@@ -33,6 +34,10 @@ class TestOpenLoop:
         _, pool = run_rate(10_000)
         # generated = acknowledged + backlog (nothing lost or duplicated).
         assert pool.generated_ops == pool.acknowledged_ops + pool.backlog_ops
+
+    def test_reply_table_holds_only_blocks_in_flight(self):
+        cluster, pool = run_rate(20_000)
+        assert_replies_in_flight(cluster, pool)
 
     def test_latency_grows_with_offered_load(self):
         _, low = run_rate(5_000)

@@ -8,10 +8,12 @@ import pytest
 
 from repro.common.config import ClusterConfig, ExperimentConfig, NetworkProfile
 from repro.common.errors import ConfigError
-from repro.common.utils import chunked, format_bytes, mean, percentile
+from repro.common.utils import chunked, mean, percentile
 from repro.harness.des_runtime import DESCluster
 from repro.harness.metrics import LatencyRecorder, RunResult, ThroughputMeter
+from repro.harness.scenarios import _experiment
 from repro.harness.workload import ClosedLoopClients
+from tests.helpers import assert_replies_in_flight
 
 
 class TestLatencyRecorder:
@@ -114,10 +116,6 @@ class TestUtils:
         with pytest.raises(ValueError):
             list(chunked([1], 0))
 
-    def test_format_bytes(self):
-        assert format_bytes(512) == "512 B"
-        assert format_bytes(2048) == "2.0 KiB"
-
     def test_run_result_row(self):
         row = RunResult(
             clients=100,
@@ -176,6 +174,33 @@ class TestClosedLoopClients:
         cluster.sim.schedule(0.01, pool.start)
         cluster.run(until=2.0)
         assert pool.completed_ops > 0
+
+    def test_reply_table_holds_only_blocks_in_flight(self):
+        cluster = self._cluster()
+        pool = ClosedLoopClients(cluster, num_clients=64, token_weight=1)
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        cluster.run(until=3.0)
+        assert pool.completed_ops > 0
+        assert_replies_in_flight(cluster, pool)
+
+    @pytest.mark.parametrize("protocol", ["marlin", "hotstuff", "fast-hotstuff"])
+    def test_reply_table_after_leader_crash_is_bounded(self, protocol):
+        """The crashed leader never replies again, so each block committed
+        after the crash may stay in the table, and nothing else does."""
+        cluster = DESCluster(
+            _experiment(1, seed=1, batch=16, base_timeout=0.5),
+            protocol=protocol,
+            crypto_mode="null",
+        )
+        pool = ClosedLoopClients(cluster, num_clients=64, token_weight=1, target="all")
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        cluster.crash_at(0, 1.0)
+        cluster.run(until=4.0)
+        after_crash = {digest for _, _, digest, when in cluster.auditor.commits if when > 1.0}
+        assert after_crash
+        assert len(pool._replying) <= len(after_crash)
 
     def test_invalid_parameters(self):
         cluster = self._cluster()
