@@ -285,25 +285,3 @@ def threshold_keygen(t: int, n: int, seed: bytes | str = b"") -> tuple[Threshold
     ]
     return public_key, signers
 
-
-def combine_or_raise(
-    public_key: ThresholdPublicKey, message: bytes, shares: Sequence[PartialSignature]
-) -> ThresholdSignature:
-    """Combine shares, skipping invalid ones; raise if < t remain valid.
-
-    This is the leader-side behaviour the paper assumes: a Byzantine
-    replica may submit a garbage share, and the combiner must still
-    succeed whenever ``t`` honest shares are present.
-    """
-    valid: list[PartialSignature] = []
-    for share in shares:
-        try:
-            public_key.verify_share(message, share)
-        except InvalidShare:
-            continue
-        valid.append(share)
-    if len(valid) < public_key.t:
-        raise NotEnoughShares(
-            f"only {len(valid)} of {len(shares)} shares valid; need {public_key.t}"
-        )
-    return public_key.combine(message, valid, verify=False)

@@ -7,7 +7,6 @@ This package turns the protocol library into the paper's evaluation:
 * :mod:`repro.harness.workload` — closed-loop (Section VI) and open-loop
   (Poisson) client populations, including no-op workloads;
 * :mod:`repro.harness.metrics` — latency recorders, throughput windows;
-* :mod:`repro.harness.invariants` — cross-replica safety auditing;
 * :mod:`repro.harness.scenarios` — canned experiments, one per figure;
 * :mod:`repro.harness.analytical` — the Table I complexity model;
 * :mod:`repro.harness.failures` — crash/partition/Byzantine injection and
@@ -20,11 +19,11 @@ This package turns the protocol library into the paper's evaluation:
 
 from repro.harness.des_runtime import DESCluster
 from repro.harness.explorer import ScheduleExplorer, explore
-from repro.harness.invariants import CommitAuditor
 from repro.harness.metrics import LatencyRecorder, ThroughputMeter
 from repro.harness.results import ResultStore
 from repro.harness.timeline import Timeline
 from repro.harness.workload import ClosedLoopClients, OpenLoopClients
+from repro.obs.audit import CommitAuditor
 
 __all__ = [
     "ClosedLoopClients",

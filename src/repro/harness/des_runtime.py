@@ -44,9 +44,9 @@ from repro.crypto.keys import KeyRegistry
 from repro.des.process import Process
 from repro.des.simulator import Simulator
 from repro.des.timers import TimerWheel
-from repro.harness.invariants import CommitAuditor
 from repro.network.message import WireSizer
 from repro.network.simnet import SimNetwork
+from repro.obs.audit import CommitAuditor
 
 PROTOCOLS: dict[str, type[ReplicaBase]] = {
     "marlin": MarlinReplica,
@@ -179,7 +179,7 @@ class DESCluster:
             )
         else:
             self.costs = ZeroCostModel()
-        self.auditor = CommitAuditor(cluster.total_replicas)
+        self.auditor = CommitAuditor()
         commit_log = CommitLog(genesis_block().digest)
 
         self.processes: list[Process] = []
@@ -296,7 +296,11 @@ class DESCluster:
         return max(r.ledger.ops_committed for r in self.replicas)
 
     def assert_safety(self) -> None:
-        """Raise if any two replicas committed conflicting blocks."""
+        """Raise on the commit auditor's first finding, once the run is over.
+
+        The auditor only records during the run, so a real fork finishes
+        and leaves its evidence in ``auditor.findings``.
+        """
         self.auditor.check()
 
     def commit_trace(self) -> list[list[Any]]:

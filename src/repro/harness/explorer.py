@@ -7,9 +7,13 @@ seeded RNG decide whether to deliver an arbitrary pending message,
 *drop* it, or fire some replica's view timer.  Replicas run the genuine
 protocol code over :class:`~repro.consensus.context.LocalContext`.
 
-After each schedule the explorer checks **agreement**: every pair of
-replicas' committed sequences must be prefixes of one another.  Liveness
-is deliberately not asserted — an adversarial schedule may starve the
+Every replica's commits stream into one
+:class:`~repro.obs.audit.CommitAuditor` through its commit listeners, so
+a schedule keeps **agreement** iff the auditor records no finding: no
+conflicting commits at a height, and no replica committing a block twice
+or out of height order.  Crashed replicas' commits count too — a
+crash-stop replica was correct until it stopped.  Liveness is
+deliberately not asserted — an adversarial schedule may starve the
 system, which is allowed under partial synchrony.
 
 This is the heavy cousin of the hypothesis drop-bit tests: thousands of
@@ -30,6 +34,7 @@ from repro.consensus.context import LocalContext
 from repro.consensus.crypto_service import CryptoService, NullCryptoService
 from repro.consensus.messages import ClientRequest
 from repro.consensus.replica_base import TIMER_VIEW, ReplicaBase
+from repro.obs.audit import CommitAuditor
 
 
 @dataclass
@@ -47,7 +52,11 @@ class ScheduleResult:
 
 
 class ScheduleExplorer:
-    """Run one adversarial schedule against fresh replicas."""
+    """Run one adversarial schedule against fresh replicas.
+
+    :attr:`auditor` holds every commit the schedule produced and the
+    findings that decide :attr:`ScheduleResult.agreement`.
+    """
 
     def __init__(
         self,
@@ -71,6 +80,9 @@ class ScheduleExplorer:
             )
             for i in range(n)
         ]
+        self.auditor = CommitAuditor()
+        for i, replica in enumerate(self.replicas):
+            replica.commit_listeners.append(self.auditor.listener_for(i))
         self.ops = ops
         self.max_steps = max_steps
         self.drop_probability = drop_probability
@@ -139,21 +151,8 @@ class ScheduleExplorer:
         result.committed_heights = [
             r.ledger.committed_height for r in self.replicas
         ]
-        result.agreement = self._check_agreement()
+        result.agreement = not self.auditor.findings
         return result
-
-    def _check_agreement(self) -> bool:
-        chains = [
-            replica.ledger.committed_digests()
-            for i, replica in enumerate(self.replicas)
-            if i not in self.crashed
-        ]
-        for chain in chains:
-            for other in chains:
-                overlap = min(len(chain), len(other))
-                if chain[:overlap] != other[:overlap]:
-                    return False
-        return True
 
 
 def explore(
@@ -169,8 +168,8 @@ def explore(
         result = explorer.run()
         if not result.agreement:
             raise SafetyViolation(
-                f"schedule seed={result.seed} produced conflicting commits: "
-                f"{result.committed_heights}"
+                f"schedule seed={result.seed}: {explorer.auditor.findings[0]['detail']} "
+                f"(committed heights {result.committed_heights})"
             )
         results.append(result)
     return results

@@ -327,9 +327,11 @@ def fuzz_schedule(
     """Run one randomly-adversarial schedule and audit safety.
 
     The adversary (seeded RNG) may: crash up to ``f`` replicas, partition
-    and heal the network, and add transient link latency.  Safety is
-    asserted continuously by the commit auditor; the report carries what
-    happened so callers can decide which liveness expectations apply.
+    and heal the network, and add transient link latency.  The commit
+    auditor records every commit as it happens and safety is asserted
+    once the run ends (:meth:`DESCluster.assert_safety` raises on its
+    first finding); the report carries what happened so callers can
+    decide which liveness expectations apply.
     """
     from repro.harness.des_runtime import DESCluster
     from repro.harness.workload import ClosedLoopClients

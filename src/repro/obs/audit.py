@@ -1,15 +1,27 @@
-"""The online auditor: streaming cross-replica safety invariants.
+"""Streaming safety auditing: the commit rules and the online auditor.
 
-Generalises :class:`repro.harness.invariants.CommitAuditor` (post-hoc,
-raising) into a checker that consumes the observer event stream *during*
-the run and accumulates structured :class:`Violation` reports instead of
-raising — Byzantine experiments want to observe the violation, not die
-on it.  Invariants checked:
+:class:`CommitAuditor` is the one streaming implementation of the
+paper's Theorem 1 — no two correct replicas commit conflicting blocks —
+as three rules over ``(replica, height, digest)`` commit records:
 
 * **conflicting-commit** — two replicas commit different blocks at the
   same height (the safety property; must never fire with ``<= f`` faults);
-* **non-monotone-commit** / **duplicate-commit** — a replica's committed
-  heights regress or repeat;
+* **duplicate-commit** / **non-monotone-commit** — a replica commits the
+  same block twice, or its committed heights regress or repeat.
+
+It records each finding, shaped like a
+:class:`~repro.adversary.checker.SafetyChecker` violation, instead of
+raising, so a run that really forks finishes and leaves its evidence;
+:meth:`CommitAuditor.check` raises :class:`SafetyViolation` on the first
+finding.  Every DES cluster arms one through its commit listeners,
+:class:`~repro.harness.explorer.ScheduleExplorer` arms one per schedule,
+and :class:`OnlineAuditor` owns one and turns its findings into flags.
+
+:class:`OnlineAuditor` consumes the observer event stream *during* the
+run and accumulates structured :class:`Violation` reports — Byzantine
+experiments want to observe the violation, not die on it.  Besides the
+three commit rules it checks:
+
 * **non-monotone-view** — a replica's current view decreases;
 * **equivocation** — more than one block digest enters the prepare phase
   at the same ``(view, height)`` across the cluster (an equivocating
@@ -29,15 +41,97 @@ replica involved, so a report is a self-contained forensic artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
+from repro.common.errors import SafetyViolation
 from repro.obs.flight import FlightEvent, FlightRecorder
 
 #: Severity classes, roughly "how bad is this for the paper's claims".
 SEV_SAFETY = "safety"
 SEV_BYZANTINE = "byzantine"
 SEV_PROTOCOL = "protocol"
+
+
+class CommitAuditor:
+    """The three commit rules over a stream of commit records.
+
+    Feed it through :meth:`listener_for` (one commit listener per
+    replica, which also keeps :attr:`commits`, the run's commit trace) or
+    call :meth:`check_commit` with plain values.  Each finding is
+    recorded once, in :attr:`findings`, with the evidence a
+    :class:`~repro.adversary.checker.SafetyChecker` violation carries.
+    """
+
+    def __init__(self) -> None:
+        #: ``(replica, height, digest, time)`` per observed commit, in order.
+        self.commits: list[tuple[int, int, bytes, float]] = []
+        self.findings: list[dict[str, Any]] = []
+        self._by_height: dict[int, tuple[bytes, int]] = {}
+        self._last_height: dict[int, int] = {}
+        self._committed: dict[int, set[bytes]] = {}
+        self._found: set[tuple] = set()
+
+    def listener_for(self, replica_id: int) -> Callable[[Any, float], None]:
+        return partial(self.observe, replica_id)
+
+    def observe(self, replica_id: int, block: Any, when: float) -> None:
+        height = block.height
+        digest = block.digest
+        self.commits.append((replica_id, height, digest, when))
+        self.check_commit(replica_id, height, digest)
+
+    def check_commit(self, replica: int, height: int, digest: bytes) -> None:
+        """Apply the rules to one commit, recording what they find."""
+        known = self._by_height.get(height)
+        if known is None:
+            self._by_height[height] = (digest, replica)
+        elif known[0] != digest:
+            first_digest, first = known
+            self._find(
+                ("conflicting-commit", height),
+                f"height {height} committed as {first_digest.hex()[:12]} by replica "
+                f"{first} but {digest.hex()[:12]} by replica {replica}",
+                height=height,
+                replicas=[first, replica],
+                digests={first_digest.hex()[:12]: [first], digest.hex()[:12]: [replica]},
+            )
+        last = self._last_height.get(replica, -1)
+        committed = self._committed.setdefault(replica, set())
+        if digest in committed:
+            self._find(
+                ("duplicate-commit", replica, digest),
+                f"replica {replica} committed block {digest.hex()[:12]} twice",
+                height=height,
+                replicas=[replica],
+                digest=digest.hex()[:12],
+            )
+        elif height <= last:
+            self._find(
+                ("non-monotone-commit", replica, height, last),
+                f"replica {replica} committed height {height} after height {last}",
+                height=height,
+                replicas=[replica],
+                previous=last,
+            )
+        committed.add(digest)
+        if height > last:
+            self._last_height[replica] = height
+
+    def _find(self, key: tuple, detail: str, **evidence: Any) -> None:
+        """Record one finding; ``key`` (kind first) dedups repeats."""
+        if key in self._found:
+            return
+        self._found.add(key)
+        self.findings.append(
+            {"kind": key[0], "severity": SEV_SAFETY, "detail": detail, "evidence": evidence}
+        )
+
+    def check(self) -> None:
+        """Raise :class:`SafetyViolation` on the first recorded finding."""
+        if self.findings:
+            raise SafetyViolation(self.findings[0]["detail"])
 
 
 @dataclass(frozen=True)
@@ -111,9 +205,8 @@ class OnlineAuditor:
         self.last_commit_time: float = 0.0
         self._flagged: set[tuple] = set()
 
-        self._commit_digest_by_height: dict[int, tuple[bytes, int]] = {}
-        self._last_commit_height: dict[int, int] = {}
-        self._committed_digests: dict[int, set[bytes]] = {}
+        #: The commit rules; their findings become flags.
+        self.commit_auditor = CommitAuditor()
         self._last_view: dict[int, int] = {}
         self._prepare_digests: dict[tuple[int, int], dict[bytes, int]] = {}
         self._qc_by_key: dict[tuple[str, int, int], _QCSeen] = {}
@@ -147,10 +240,15 @@ class OnlineAuditor:
         detail: str,
         dedup: tuple | None = None,
     ) -> None:
-        key = dedup if dedup is not None else (kind, view, height, replicas)
-        if key in self._flagged:
-            return
-        self._flagged.add(key)
+        """Record a violation once per ``dedup`` key.
+
+        ``None`` means the caller has deduplicated already, as the commit
+        auditor does for its findings.
+        """
+        if dedup is not None:
+            if dedup in self._flagged:
+                return
+            self._flagged.add(dedup)
         window = tuple(
             (replica, tuple(self.recorders[replica].window(last=self.window_size)))
             for replica in replicas
@@ -293,48 +391,19 @@ class OnlineAuditor:
     ) -> None:
         self.events_audited += 1
         self.last_commit_time = time
-        known = self._commit_digest_by_height.get(height)
-        if known is None:
-            self._commit_digest_by_height[height] = (digest, replica)
-        elif known[0] != digest:
+        findings = self.commit_auditor.findings
+        known = len(findings)
+        self.commit_auditor.check_commit(replica, height, digest)
+        for finding in findings[known:]:
             self._flag(
-                "conflicting-commit",
+                finding["kind"],
                 SEV_SAFETY,
                 time,
-                (known[1], replica),
+                tuple(finding["evidence"]["replicas"]),
                 view,
                 height,
-                f"height {height} committed as {known[0].hex()[:12]} by replica "
-                f"{known[1]} but {digest.hex()[:12]} by replica {replica}",
-                dedup=("conflicting-commit", height),
+                finding["detail"],
             )
-        last = self._last_commit_height.get(replica, -1)
-        digests = self._committed_digests.setdefault(replica, set())
-        if digest in digests:
-            self._flag(
-                "duplicate-commit",
-                SEV_SAFETY,
-                time,
-                (replica,),
-                view,
-                height,
-                f"replica {replica} committed block {digest.hex()[:12]} twice",
-                dedup=("duplicate-commit", replica, digest),
-            )
-        elif height <= last:
-            self._flag(
-                "non-monotone-commit",
-                SEV_SAFETY,
-                time,
-                (replica,),
-                view,
-                height,
-                f"replica {replica} committed height {height} after height {last}",
-                dedup=("non-monotone-commit", replica, height, last),
-            )
-        digests.add(digest)
-        if height > last:
-            self._last_commit_height[replica] = height
 
     # -------------------------------------------- cluster-level entry points
 

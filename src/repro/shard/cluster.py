@@ -14,7 +14,7 @@ by side and routes every command to exactly one of them by key.
 * **per-group everything else** — each :class:`ShardGroup` owns its
   :class:`~repro.network.simnet.SimNetwork` (endpoint ids never collide
   across groups and messages physically cannot cross shards), replicas,
-  ledger, :class:`~repro.harness.invariants.CommitAuditor`, optional
+  ledger, :class:`~repro.obs.audit.CommitAuditor`, optional
   online auditor, and optional
   :class:`~repro.obs.complexity.ComplexityObservatory` tap.
 

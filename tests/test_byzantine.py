@@ -53,17 +53,21 @@ class TestEquivocatingLeader:
         assert all(h == qc.block.height for h in committed)
 
     def test_auditor_trips_on_conflicting_commit(self):
-        from repro.harness.invariants import CommitAuditor
+        from repro.harness import CommitAuditor
         from repro.consensus.block import genesis_block, make_child
         from repro.crypto.hashing import digest_of
 
-        auditor = CommitAuditor(4)
+        auditor = CommitAuditor()
         genesis = genesis_block()
         a = make_child(genesis, 1, (), digest_of("qa"))
         b = make_child(genesis, 1, (), digest_of("qb"))
         auditor.observe(0, a, 1.0)
+        auditor.observe(1, b, 1.1)
+        (finding,) = auditor.findings
+        assert finding["kind"] == "conflicting-commit"
+        assert finding["evidence"]["replicas"] == [0, 1]
         with pytest.raises(SafetyViolation):
-            auditor.observe(1, b, 1.1)
+            auditor.check()
 
 
 class TestForgery:
@@ -155,3 +159,75 @@ class TestByzantineShareInQuorum:
         leader.on_message(3, VoteMsg(phase=Phase.COMMIT, view=1, block=block, share=garbage))
         # Rejected at verification; never enters the accumulator.
         assert leader.collector.votes_for(Phase.COMMIT, 1, block.digest) == before
+
+
+class TestRealFork:
+    def test_fork_is_recorded_not_raised_mid_run(self):
+        """A replica that really commits a conflicting block leaves
+        evidence: the run finishes, the commit auditor holds the finding,
+        the history checker reports it and only ``assert_safety`` raises."""
+        from repro.adversary.checker import SafetyChecker
+        from repro.common.config import ClusterConfig, ExperimentConfig
+        from repro.consensus.block import make_child
+        from repro.crypto.hashing import digest_of
+        from repro.harness.des_runtime import DESCluster
+        from repro.harness.workload import ClosedLoopClients
+
+        experiment = ExperimentConfig(
+            cluster=ClusterConfig.for_f(1, batch_size=200, base_timeout=0.5), seed=3
+        )
+        cluster = DESCluster(experiment, protocol="marlin", crypto_mode="null")
+        pool = ClosedLoopClients(cluster, num_clients=16, token_weight=1)
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        assert cluster.run_until(
+            lambda: cluster.sim.now >= 1.0 and len(set(cluster.committed_heights())) == 1,
+            deadline=3.0,
+        )
+        # Replica 3 commits a sibling of the block the others commit next.
+        forker = cluster.replicas[3]
+        head = forker.ledger.committed_head
+        sibling = make_child(head, forker.cview, (), digest_of("fork"), proposer=3)
+        forker.tree.add(sibling)
+        forker.ledger.commit(sibling)
+        cluster.crash(3)
+        cluster.run(until=4.0)
+
+        assert min(cluster.committed_heights()[:3]) > sibling.height
+        (finding,) = cluster.auditor.findings
+        assert finding["kind"] == "conflicting-commit"
+        assert finding["severity"] == "safety"
+        evidence = finding["evidence"]
+        assert evidence["height"] == sibling.height
+        assert evidence["replicas"][0] == 3 and evidence["replicas"][1] in (0, 1, 2)
+        honest = cluster.replicas[evidence["replicas"][1]]
+        other = honest.ledger.committed_digests()[sibling.height]
+        assert evidence["digests"] == {
+            sibling.digest.hex()[:12]: [3],
+            other.hex()[:12]: [evidence["replicas"][1]],
+        }
+        report = SafetyChecker(4).check_cluster(cluster)
+        assert "conflicting-commit" in report.kinds()
+        with pytest.raises(SafetyViolation):
+            cluster.assert_safety()
+
+    def test_explorer_reports_a_fork(self):
+        """The schedule explorer judges agreement by the commit auditor."""
+        from repro.consensus.block import make_child
+        from repro.crypto.hashing import digest_of
+        from repro.harness.explorer import ScheduleExplorer
+
+        explorer = ScheduleExplorer(
+            MarlinReplica, seed=3, drop_probability=0.0,
+            timeout_probability=0.0, crash_probability=0.0, max_steps=2000,
+        )
+        forker = explorer.replicas[3]
+        sibling = make_child(forker.tree.genesis, 1, (), digest_of("fork"), proposer=3)
+        forker.tree.add(sibling)
+        forker.ledger.commit(sibling)
+        result = explorer.run()
+        assert not result.agreement
+        assert max(result.committed_heights) >= 1
+        (finding,) = explorer.auditor.findings
+        assert finding["kind"] == "conflicting-commit"
+        assert finding["evidence"]["replicas"][0] == 3

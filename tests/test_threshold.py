@@ -9,7 +9,6 @@ from repro.common.errors import CryptoError, InvalidShare, NotEnoughShares
 from repro.crypto.threshold import (
     PRIME,
     PartialSignature,
-    combine_or_raise,
     threshold_keygen,
 )
 
@@ -96,20 +95,6 @@ class TestSignCombineVerify:
         pk, _ = keys
         with pytest.raises(InvalidShare):
             pk.verify_share(b"m", PartialSignature(signer=10, value=1))
-
-    def test_combine_or_raise_skips_bad_shares(self, keys):
-        pk, signers = keys
-        shares = [s.sign(b"msg") for s in signers]
-        shares[0] = PartialSignature(signer=0, value=999)
-        sig = combine_or_raise(pk, b"msg", shares)
-        pk.verify(b"msg", sig)
-
-    def test_combine_or_raise_fails_below_threshold(self, keys):
-        pk, signers = keys
-        shares = [PartialSignature(signer=i, value=i + 1) for i in range(2)]
-        shares.append(signers[3].sign(b"msg"))
-        with pytest.raises(NotEnoughShares):
-            combine_or_raise(pk, b"msg", shares)
 
 
 class TestValidation:
