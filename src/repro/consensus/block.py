@@ -27,6 +27,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from repro.common.errors import EncodingError, InvalidBlock
 from repro.crypto.hashing import Digest, digest_of, short_hex
@@ -96,16 +97,29 @@ class Operation:
 # ``Block.digest`` hashes: the list-of-7 header, link (``n`` or 32 tagged
 # bytes), the three tagged header ints and the ops-list header form one
 # pack; each op is a list-of-4 header, tagged client and sequence, the
-# payload's length header, the payload, then the tagged weight.
+# payload's length header, the payload, then the tagged weight — one pack
+# of the fused struct for its payload length.
 _T_LIST = ord("l")
 _T_INT = ord("i")
 _T_BYTES = ord("b")
 _T_NONE = ord("n")
 _HEAD_UNLINKED = struct.Struct(">BIBBqBqBqBI")
 _HEAD_LINKED = struct.Struct(">BIBI32sBqBqBqBI")
-_OP_HEAD = struct.Struct(">BIBqBqBI")
 _TAGGED_INT = struct.Struct(">Bq")
 _BYTES_HEAD = struct.Struct(">BI")
+
+
+class _OpPackers(dict):
+    """Payload length -> ``pack`` of one whole encoded op, built on first use."""
+
+    def __missing__(self, size: int):
+        pack = self[size] = struct.Struct(f">BIBqBqBI{size}sBq").pack
+        return pack
+
+
+_OP_PACKERS = _OpPackers()
+_weight_of = attrgetter("weight")
+_wire_size_of = attrgetter("wire_size")
 
 
 @dataclass(frozen=True)
@@ -146,16 +160,15 @@ class Block:
         Byte-identical to ``digest_of([pl, pview, view, height, [[client,
         seq, payload, weight], ...], justify, proposer])``, and raises
         :class:`EncodingError` wherever that does (an int outside int64);
-        ``tests/test_fused_digests.py`` pins the equivalence.  The fields
-        are packed straight into one hash instead of building per-op
-        lists for the generic encoder: every proposal and every replica
-        receiving it digests the whole batch.
+        ``tests/test_fused_digests.py`` pins the equivalence.  Each op is
+        one pack of a fused struct instead of per-op lists for the generic
+        encoder, and the joined buffer is hashed once: every proposal and
+        every replica receiving it digests the whole batch.
         """
         operations = self.operations
         link = self.parent_link
         justify = self.justify_digest
-        pack_op = _OP_HEAD.pack
-        pack_int = _TAGGED_INT.pack
+        packers = _OP_PACKERS
         header = (_T_INT, self.parent_view, _T_INT, self.view, _T_INT, self.height)
         try:
             if link is None:
@@ -166,35 +179,34 @@ class Block:
                 head = _HEAD_LINKED.pack(
                     _T_LIST, 7, _T_BYTES, 32, link, *header, _T_LIST, len(operations)
                 )
-            state = hashlib.sha256(head)
-            update = state.update
+            parts = [head]
+            append = parts.append
             for op in operations:
                 payload = op.payload
-                update(
-                    pack_op(
+                size = len(payload)
+                append(
+                    packers[size](
                         _T_LIST, 4, _T_INT, op.client_id, _T_INT, op.sequence,
-                        _T_BYTES, len(payload),
+                        _T_BYTES, size, payload, _T_INT, op.weight,
                     )
                 )
-                update(payload)
-                update(pack_int(_T_INT, op.weight))
-            update(_BYTES_HEAD.pack(_T_BYTES, len(justify)))
-            update(justify)
-            update(pack_int(_T_INT, self.proposer))
+            append(_BYTES_HEAD.pack(_T_BYTES, len(justify)))
+            append(justify)
+            append(_TAGGED_INT.pack(_T_INT, self.proposer))
         except struct.error as exc:
             raise EncodingError(
                 f"integer out of 64-bit range in block v={self.view} h={self.height}"
             ) from exc
-        return state.digest()
+        return hashlib.sha256(b"".join(parts)).digest()
 
     @cached_property
     def num_ops(self) -> int:
         """Logical operation count (weighted)."""
-        return sum(op.weight for op in self.operations)
+        return sum(map(_weight_of, self.operations))
 
     @cached_property
     def payload_size(self) -> int:
-        return sum(op.wire_size for op in self.operations)
+        return sum(map(_wire_size_of, self.operations))
 
     @property
     def header_size(self) -> int:
@@ -271,23 +283,38 @@ class KeySet:
 
     def add(self, key: tuple[int, int]) -> bool:
         """Insert ``key``; True if it was not already present."""
-        client, seq = key
-        run = self._runs.get(client)
-        if run is None:
-            self._runs[client] = run = [seq, seq]
-        elif seq != run[1]:
-            if run[0] <= seq < run[1] or key in self._sparse:
-                return False
-            self._sparse.add(key)
-            return True
-        seq += 1
+        return bool(self.add_ops((Operation(*key),)))
+
+    def add_ops(self, ops) -> list[Operation]:
+        """Insert every op's key, in order; the ops whose key was new.
+
+        Exactly as if each key went through :meth:`add` in turn, so an op
+        repeating an earlier key of the same call is not new.
+        """
+        runs = self._runs
         sparse = self._sparse
-        if sparse:
-            while (client, seq) in sparse:
-                sparse.remove((client, seq))
-                seq += 1
-        run[1] = seq
-        return True
+        new: list[Operation] = []
+        append = new.append
+        for op in ops:
+            key = op._key
+            client, seq = key
+            run = runs.get(client)
+            if run is None:
+                runs[client] = run = [seq, seq]
+            elif seq != run[1]:
+                if run[0] <= seq < run[1] or key in sparse:
+                    continue
+                sparse.add(key)
+                append(op)
+                continue
+            seq += 1
+            if sparse:
+                while (client, seq) in sparse:
+                    sparse.remove((client, seq))
+                    seq += 1
+            run[1] = seq
+            append(op)
+        return new
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         run = self._runs.get(key[0])
@@ -320,7 +347,7 @@ class BatchPool:
 
     def add(self, op: Operation) -> bool:
         """Queue an operation; duplicate (client, seq) pairs are dropped."""
-        if not self._seen.add(op._key):
+        if not self._seen.add_ops((op,)):
             return False
         self._pending.append(op)
         return True
@@ -331,14 +358,9 @@ class BatchPool:
         One call per client batch instead of one per operation — the DES
         workload generator delivers hundreds of operations per message.
         """
-        see = self._seen.add
-        pending = self._pending
-        admitted = False
-        for op in ops:
-            if see(op._key):
-                pending.append(op)
-                admitted = True
-        return admitted
+        new = self._seen.add_ops(ops)
+        self._pending += new
+        return bool(new)
 
     def next_batch(self) -> tuple[Operation, ...]:
         """Remove and return up to ``max_batch`` weighted operations (FIFO).

@@ -62,18 +62,18 @@ class CommitLog:
         (possible under rotation and after a view change), or repeated
         within a block, executes and counts once, at its first weight.
         """
-        is_new = self.keys.add
         ops = block.operations
-        new: list[Operation] = []
-        weight = 0
-        for op in ops:
-            if is_new(op._key):
-                new.append(op)
-                weight += op.weight
+        new = self.keys.add_ops(ops)
+        if len(new) == len(ops):
+            new = ops
+            weight = block.num_ops
+        else:
+            new = tuple(new)
+            weight = sum(op.weight for op in new)
         self.index[block.digest] = len(self.digests)
         self.digests.append(block.digest)
         self.new_weights.append(weight)
-        self.new_ops.append(ops if len(new) == len(ops) else tuple(new))
+        self.new_ops.append(new)
 
     def prefix(self, length: int) -> "CommitLog":
         """A private log of the first ``length`` entries.
@@ -86,10 +86,9 @@ class CommitLog:
         log.new_weights = self.new_weights[:length]
         log.new_ops = self.new_ops[:length]
         log.index = {digest: i for i, digest in enumerate(log.digests)}
-        add = log.keys.add
+        add_ops = log.keys.add_ops
         for ops in log.new_ops:
-            for op in ops:
-                add(op._key)
+            add_ops(ops)
         return log
 
 

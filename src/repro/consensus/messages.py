@@ -29,11 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any
 
 from repro.common.errors import ProtocolError
 from repro.consensus.block import Block, Operation
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
+
+_wire_size_of = attrgetter("wire_size")
 
 PARTIAL_SIG_WIRE = 48
 """Wire size of one vote share (field element + signer index)."""
@@ -341,19 +344,22 @@ class ClientRequestBatch:
 
     @cached_property
     def wire_size(self) -> int:
-        return 4 + sum(op.wire_size for op in self.operations)
+        return 4 + sum(map(_wire_size_of, self.operations))
 
 
 @dataclass(frozen=True)
 class ReplyBatch:
     """Aggregate replica->client replies for one committed block.
 
-    ``result_digests`` carries one digest per op key (empty in legacy
-    senders), and ``view`` the replica's view at commit time.  Neither
-    changes ``wire_size``: each modelled per-reply record already charges
-    24 bytes of header on top of the payload, which is where a 32-byte
-    digest travels in the real encoding — keeping the hub model's
-    benchmark curves exactly where they were.
+    ``view`` is the replica's view at commit time.  ``result_digests``
+    may carry one digest per op key, but the hub workload sends none: it
+    has no application, so every correct replica's digest would be the
+    same request-derived value and nothing at the hub checks it.  Reply
+    digests are checked on real-mode :class:`ClientReply` messages only.
+    Neither field changes ``wire_size``: each modelled per-reply record
+    already charges 24 bytes of header on top of the payload, which is
+    where a 32-byte digest travels in the real encoding — keeping the
+    hub model's benchmark curves exactly where they were.
     """
 
     replica: int

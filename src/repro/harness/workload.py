@@ -22,11 +22,11 @@ block, whose wire size equals the sum of the individual replies.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any
 
 from repro.client.config import ClientConfig
 from repro.client.service import attach_client_services
-from repro.client.session import result_digest_of
 from repro.common.errors import ConfigError
 from repro.consensus.block import Block, Operation
 from repro.consensus.messages import ClientRequestBatch, ReplyBatch
@@ -36,6 +36,8 @@ from repro.harness.des_runtime import DESCluster
 from repro.harness.metrics import LatencyRecorder, ThroughputMeter
 from repro.obs.journey import CK_CERTIFIED, CK_EXECUTED, CK_ROUTED, CK_SUBMIT
 
+_key_of = attrgetter("_key")
+
 
 def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
     """Make ``replica`` send an aggregate ReplyBatch to the pool's hub on
@@ -44,22 +46,18 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
     reply_size = pool.reply_size
     journey = getattr(pool, "_journey", None)
     # Blocks travel by reference in the DES, so every replica commits the
-    # *same* Block object; memoize its op-key and result-digest tuples on
-    # the pool so the n-replica fan-in builds them once instead of n
-    # times per block.  (Hub replies carry no execution results, so each
-    # digest is the deterministic empty-result digest — the same value a
-    # real ClientService without an application would report.)
+    # *same* Block object; memoize its op-key tuple on the pool so the
+    # n-replica fan-in builds it once instead of n times per block.
     if not hasattr(pool, "_op_keys_memo"):
-        pool._op_keys_memo = (None, (), ())
+        pool._op_keys_memo = (None, ())
 
-    def keys_and_digests_of(block: Block) -> tuple[tuple, tuple]:
-        memo_block, memo_keys, memo_digests = pool._op_keys_memo
+    def keys_of(block: Block) -> tuple:
+        memo_block, memo_keys = pool._op_keys_memo
         if memo_block is block:
-            return memo_keys, memo_digests
-        keys = tuple(op._key for op in block.operations)
-        digests = tuple(result_digest_of(c, s, b"") for c, s in keys)
-        pool._op_keys_memo = (block, keys, digests)
-        return keys, digests
+            return memo_keys
+        keys = tuple(map(_key_of, block.operations))
+        pool._op_keys_memo = (block, keys)
+        return keys
 
     def on_commit(block: Block, when: float) -> None:
         if not block.operations:
@@ -69,14 +67,12 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
         # the proposer only, so each journey gets the checkpoint once.
         if journey is not None and block.proposer == replica.id:
             journey.record_ops(block.operations, CK_EXECUTED, when)
-        keys, digests = keys_and_digests_of(block)
         batch = ReplyBatch(
             replica=replica.id,
             block_digest=block.digest,
-            op_keys=keys,
+            op_keys=keys_of(block),
             num_ops=block.num_ops,
             reply_size=reply_size,
-            result_digests=digests,
             view=replica.cview,
         )
         replica.ctx.send(hub_id, batch)
@@ -347,7 +343,6 @@ class ClosedLoopClients:
         #: Per block with replies still due: [batches due, finished].
         self._replying: dict[Digest, list] = {}
         self._voters = experiment.cluster.num_replicas
-        self._next_seq: dict[int, int] = {}
         self._payload = b"x" * self.request_size
         self._endpoints: list[Any] = []
         self.services: list[Any] = []
@@ -407,20 +402,22 @@ class ClosedLoopClients:
             for endpoint in self._endpoints:
                 endpoint.session.submit(self._payload)
             return
-        self._release(self.client_ids)
+        self._release([(client_id, -1) for client_id in self.client_ids])
 
-    def _release(self, client_ids: list[int]) -> None:
-        """Submit each client's next request, all in one batch."""
+    def _release(self, keys: list[tuple[int, int]]) -> None:
+        """Submit, all in one batch, the request after each ``(client, seq)``.
+
+        Closed loop: a client's one outstanding request is the one just
+        certified, so its next sequence number is ``seq + 1``.
+        """
         now = self.cluster.sim.now
-        next_seq = self._next_seq
         submit_time = self._submit_time
         payload = self._payload
         weight = self.token_weight
         sampled_ids = self._sampled_ids
         ops: list[Operation] = []
-        for client_id in client_ids:
-            seq = next_seq.get(client_id, 0)
-            next_seq[client_id] = seq + 1
+        for client_id, seq in keys:
+            seq += 1
             op = Operation(client_id, seq, payload, weight)
             submit_time[op._key] = now
             ops.append(op)
@@ -457,7 +454,7 @@ class ClosedLoopClients:
                 if client_id in sampled_ids:
                     self._journey.record(client_id, seq, CK_CERTIFIED, now)
         # Closed loop: each certificate releases that client's next request.
-        self._release([client_id for client_id, _ in certified])
+        self._release(certified)
 
     # ------------------------------------------------------------ readouts
 

@@ -144,7 +144,9 @@ class TcpNetwork(Transport):
 
     Call :meth:`start` to bind every registered endpoint's server, then
     :meth:`connect_all` to dial the full mesh.  ``send`` before the dial
-    completes raises :class:`NetworkError`.
+    completes raises :class:`NetworkError`.  Endpoint ``i`` listens on
+    ``base_port + i``; with ``base_port=0`` the OS assigns every port and
+    :meth:`port_of` reads it back once :meth:`start` has bound it.
     """
 
     def __init__(self, host: str = "127.0.0.1", base_port: int = 29000) -> None:
@@ -157,7 +159,11 @@ class TcpNetwork(Transport):
         self._started = False
 
     def port_of(self, endpoint: int) -> int:
-        return self._base_port + endpoint
+        """The port ``endpoint`` listens on (0 = any, before an OS-assigned bind)."""
+        server = self._servers.get(endpoint)
+        if server is not None:
+            return server.sockets[0].getsockname()[1]
+        return self._base_port + endpoint if self._base_port else 0
 
     def register(self, endpoint: int, handler: DeliveryHandler) -> None:
         self._handlers[endpoint] = handler

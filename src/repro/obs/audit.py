@@ -442,32 +442,20 @@ class OnlineAuditor:
 
         Correct replicas execute the same committed prefix and therefore
         agree on every operation's result digest; a divergence is a lying
-        replica (``ReplyForger``) or non-deterministic execution.
+        replica (``ReplyForger``) or non-deterministic execution.  The
+        check covers real-mode ``ClientReply`` messages only: the hub
+        workload's ``ReplyBatch`` carries no digests.
         """
         payload = envelope.payload
         n = self.num_replicas
         if n is not None and envelope.src >= n:
             return
         digest = getattr(payload, "result_digest", None)
-        if digest is not None:
-            if not digest:
-                return
-            self._check_reply(
-                payload.replica, payload.client_id, payload.sequence, digest, envelope.sent_at
-            )
+        if not digest:
             return
-        digests = getattr(payload, "result_digests", None)
-        if digests:
-            for (client_id, sequence), result_digest in zip(payload.op_keys, digests):
-                self._check_reply(
-                    payload.replica, client_id, sequence, result_digest, envelope.sent_at
-                )
-
-    def _check_reply(
-        self, replica: int, client_id: int, sequence: int, digest: bytes, time: float
-    ) -> None:
         self.events_audited += 1
-        key = (client_id, sequence)
+        key = (payload.client_id, payload.sequence)
+        replica = payload.replica
         known = self._reply_digests.get(key)
         if known is None:
             self._reply_digests[key] = (digest, replica)
@@ -475,11 +463,11 @@ class OnlineAuditor:
             self._flag(
                 "reply-divergence",
                 SEV_BYZANTINE,
-                time,
+                envelope.sent_at,
                 (known[1], replica),
                 -1,
                 -1,
-                f"client {client_id} seq {sequence}: replica {known[1]} reported "
+                f"client {key[0]} seq {key[1]}: replica {known[1]} reported "
                 f"{known[0].hex()[:12]} but replica {replica} reported {digest.hex()[:12]}",
                 dedup=("reply-divergence", key),
             )

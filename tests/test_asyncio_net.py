@@ -95,7 +95,7 @@ class TestAsyncioNetwork:
 class TestTcpNetwork:
     def test_roundtrip(self):
         async def main():
-            net = TcpNetwork(base_port=38100)
+            net = TcpNetwork(base_port=0)
             inbox: list[tuple[int, object]] = []
             net.register(0, lambda s, p: inbox.append((s, p)))
             net.register(1, lambda s, p: inbox.append((s, p)))
@@ -112,7 +112,7 @@ class TestTcpNetwork:
 
     def test_send_before_connect_raises(self):
         async def main():
-            net = TcpNetwork(base_port=38200)
+            net = TcpNetwork(base_port=0)
             net.register(0, lambda s, p: None)
             net.register(1, lambda s, p: None)
             with pytest.raises(NetworkError):
@@ -122,7 +122,7 @@ class TestTcpNetwork:
 
     def test_self_send(self):
         async def main():
-            net = TcpNetwork(base_port=38300)
+            net = TcpNetwork(base_port=0)
             inbox: list[object] = []
             net.register(0, lambda s, p: inbox.append(p))
             await net.start()
@@ -136,7 +136,7 @@ class TestTcpNetwork:
 
     def test_large_frame(self):
         async def main():
-            net = TcpNetwork(base_port=38400)
+            net = TcpNetwork(base_port=0)
             inbox: list[bytes] = []
             net.register(0, lambda s, p: None)
             net.register(1, lambda s, p: inbox.append(p))
@@ -150,5 +150,18 @@ class TestTcpNetwork:
                 await asyncio.sleep(0.02)
             await net.close()
             assert inbox and inbox[0] == blob
+
+        run(main())
+
+    def test_os_assigned_ports_are_read_back(self):
+        async def main():
+            net = TcpNetwork(base_port=0)
+            for endpoint in range(3):
+                net.register(endpoint, lambda s, p: None)
+            assert net.port_of(0) == 0  # unbound: any port
+            await net.start()
+            ports = [net.port_of(endpoint) for endpoint in range(3)]
+            await net.close()
+            assert all(ports) and len(set(ports)) == 3
 
         run(main())

@@ -1,9 +1,10 @@
 """Fused hot-path packers agree with the generic canonical encoder.
 
-``Block.digest``, ``vote_payload`` and ``QuorumCertificate.digest`` pack
-their fixed-width fields straight into bytes/SHA-256 instead of building
-lists for :func:`repro.common.encoding.encode`; the generic encoder stays
-the specification, and these properties check the fused code against it
+``Block.digest`` (one fused struct per payload length), ``vote_payload``
+and ``QuorumCertificate.digest`` pack their fields straight into
+bytes/SHA-256 instead of building lists for
+:func:`repro.common.encoding.encode`; the generic encoder stays the
+specification, and these properties check the fused code against it
 byte for byte — including the :class:`EncodingError` an out-of-range
 integer raises.  The router's per-client memo and the misroute guard's
 one-pass batch filter are checked against their unmemoised definitions
@@ -97,6 +98,34 @@ class TestBlockDigest:
         )
         assert virtual.is_virtual
         assert virtual.digest == reference_block_digest(virtual)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([0, 1, 150, 4096]), min_size=4, max_size=16),
+        link=st.one_of(st.none(), digests),
+    )
+    def test_mixed_payload_lengths_in_one_block(self, lengths, link):
+        # One fused struct per payload length: every length in the block
+        # must pick its own packer, in any order and repeated.
+        lengths = [0, 1, 150, 4096, *lengths]
+        ops = tuple(
+            Operation(i, i, bytes([i % 251]) * size, weight=i + 1)
+            for i, size in enumerate(lengths)
+        )
+        block = Block(
+            parent_link=link,
+            parent_view=1,
+            view=2,
+            height=3,
+            operations=ops,
+            justify_digest=bytes(range(32)),
+            proposer=1,
+        )
+        assert block.digest == reference_block_digest(block)
+        assert block.num_ops == sum(op.weight for op in ops)
+        assert block.payload_size == sum(op.wire_size for op in ops)
+        batch = ClientRequestBatch(operations=ops)
+        assert batch.wire_size == 4 + block.payload_size
 
     @pytest.mark.parametrize(
         "overrides",

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.config import ClusterConfig, ExperimentConfig, NetworkProfile
-from repro.consensus.block import KeySet
+from repro.consensus.block import KeySet, Operation
 from repro.harness.des_runtime import DESCluster
 from repro.harness.workload import ClosedLoopClients, OpenLoopClients
 
@@ -83,6 +84,66 @@ class TestEquivalence:
         reference.clear()
         assert not keyset._runs and not keyset._sparse
         _mirror(keyset, reference, [(1, 5), (1, 7), (1, 6), (2, 0), (1, 5)], universe)
+
+
+# ---------------------------------------------------------------------------
+# The bulk insert: add_ops against a plain set, call by call
+
+
+@st.composite
+def op_streams(draw) -> list[list[Operation]]:
+    """Dense keys made shuffled, gapped and repeated, cut into calls.
+
+    Every op is its own object, so a repeated key is a distinct op and
+    the test can tell which copy came back.
+    """
+    clients = draw(st.integers(min_value=1, max_value=4))
+    first = draw(st.integers(min_value=-2, max_value=2))
+    length = draw(st.integers(min_value=0, max_value=25))
+    keys = _dense(clients, length, first)
+    if draw(st.booleans()):
+        keys = draw(st.permutations(keys))
+    if keys and draw(st.booleans()):
+        kept = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        keys = [key for key, keep in zip(keys, kept) if keep]
+    if keys:
+        for index in draw(st.lists(st.integers(0, len(keys) - 1), max_size=10)):
+            at = draw(st.integers(0, len(keys)))
+            keys.insert(at, keys[index])
+    ops = [Operation(client, seq) for client, seq in keys]
+    cuts = sorted(draw(st.lists(st.integers(0, len(ops)), max_size=6)))
+    bounds = [0, *cuts, len(ops)]
+    return [ops[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+class TestAddOps:
+    @settings(max_examples=300, deadline=None)
+    @given(op_streams())
+    def test_matches_a_plain_set(self, calls):
+        keyset, reference = KeySet(), set()
+        universe = [(c, s) for c in range(5) for s in range(-3, 30)]
+        for ops in calls:
+            expected = []
+            for op in ops:
+                if op.key() not in reference:
+                    reference.add(op.key())
+                    expected.append(op)
+            assert [id(op) for op in keyset.add_ops(ops)] == [id(op) for op in expected]
+            for key in universe:
+                assert (key in keyset) == (key in reference), key
+
+    def test_repeat_inside_one_call_is_not_new(self):
+        first, again, gap, gap_again = (
+            Operation(0, 0), Operation(0, 0), Operation(0, 5), Operation(0, 5)
+        )
+        new = KeySet().add_ops([first, again, gap, gap_again])
+        assert [id(op) for op in new] == [id(first), id(gap)]
+
+    def test_dense_calls_stay_in_runs(self):
+        keyset = KeySet()
+        for seq in range(10):
+            assert len(keyset.add_ops([Operation(c, seq) for c in range(3)])) == 3
+        assert len(keyset._runs) == 3 and not keyset._sparse
 
 
 # ---------------------------------------------------------------------------

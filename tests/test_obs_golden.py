@@ -36,12 +36,12 @@ GOLDEN = {
     "events_processed": 995,
     "commit_trace_rows": 42,
     "journeys": 832,
-    "events_audited": 2823,
+    "events_audited": 135,
     "violations_by_kind": {"duplicate-execution": 192},
     "metrics_json": "a1a3f24757a277b3f7dcb1840a0c9e90ba403ebea44ef4de42511d4c08d848b8",
     "chrome_trace": "47e4f864171acd8eea5cfad41c55dcd9c6289484bafdb5989c46709818df528e",
     "blackbox": "50457ad04e6b5d094a8592c8d9c5ede507e94d048ebb3973c51b3efd9fcd9c63",
-    "audit_report": "a618d3a495ec54a76280f7dba4456e8f7fb616135c153e86c980ed9b8b9736b1",
+    "audit_report": "82710d0963136ee80bf49b4e311f1cd4e82b695ec9f31b18597d94a9f98a3d9d",
     "waterfall": "afdee2e41e777d46bb7d842474a0ffb06ca3ef3e1ec93d60c99acefd28e99825",
     "commit_trace": "bf041ef74ac54d5c9ce7c623570890f9ca36e9eddd04613415d4d0eafb1dc54f",
 }

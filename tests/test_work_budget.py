@@ -32,12 +32,12 @@ import repro
 RECORDED_ON = (3, 11)
 
 #: Ceiling on Python calls per committed op, per point: the measured
-#: count (14.43, 47.73 and 13.29 with one commit log per group) plus
-#: under 2 % headroom.
+#: count (6.34, 39.56 and 9.22 once hub replies carry no digests and
+#: key sets insert a whole batch per call) plus under 2 % headroom.
 CEILINGS = {
-    "f1": 14.7,
-    "f10": 48.6,
-    "shard4": 13.5,
+    "f1": 6.45,
+    "f10": 40.3,
+    "shard4": 9.4,
 }
 
 pytestmark = pytest.mark.skipif(

@@ -11,6 +11,8 @@ from repro.common.errors import ConfigError
 from repro.common.utils import chunked, mean, percentile
 from repro.harness.des_runtime import DESCluster
 from repro.harness.metrics import LatencyRecorder, RunResult, ThroughputMeter
+from repro.consensus.messages import ReplyBatch
+from repro.harness import workload
 from repro.harness.scenarios import _experiment
 from repro.harness.workload import ClosedLoopClients
 from tests.helpers import assert_replies_in_flight
@@ -201,6 +203,56 @@ class TestClosedLoopClients:
         after_crash = {digest for _, _, digest, when in cluster.auditor.commits if when > 1.0}
         assert after_crash
         assert len(pool._replying) <= len(after_crash)
+
+    @pytest.mark.parametrize("target", ["leader", "all"])
+    @pytest.mark.parametrize("crash", [False, True], ids=["steady", "leader-crash"])
+    def test_certified_sequences_are_dense_from_zero(self, monkeypatch, target, crash):
+        """Each release submits the certified sequence plus one, so every
+        client's certificates arrive in order 0, 1, 2, ... with no gap."""
+        certified: list[tuple[int, int]] = []
+
+        def recording(pool, batch):
+            keys = acknowledge(pool, batch)
+            certified.extend(keys)
+            return keys
+
+        acknowledge = workload._acknowledge
+        monkeypatch.setattr(workload, "_acknowledge", recording)
+        cluster = DESCluster(
+            _experiment(1, seed=1, batch=16, base_timeout=0.5),
+            protocol="marlin",
+            crypto_mode="null",
+        )
+        pool = ClosedLoopClients(cluster, num_clients=24, token_weight=2, target=target)
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        if crash:
+            cluster.crash_at(0, 1.0)
+        cluster.run(until=3.0)
+        by_client: dict[int, list[int]] = {}
+        for client_id, seq in certified:
+            by_client.setdefault(client_id, []).append(seq)
+        assert set(by_client) == set(pool.client_ids)
+        for seqs in by_client.values():
+            assert seqs == list(range(len(seqs)))
+        assert len(certified) * pool.token_weight >= pool.completed_ops > 0
+        # The outstanding request of each client is the next one.
+        for client_id, seq in pool._submit_time:
+            assert seq == len(by_client[client_id])
+
+    def test_hub_reply_batches_carry_no_digests(self):
+        cluster = self._cluster()
+        pool = ClosedLoopClients(cluster, num_clients=16, token_weight=1)
+        batches: list[ReplyBatch] = []
+        cluster.network.add_tap(
+            lambda envelope: isinstance(envelope.payload, ReplyBatch)
+            and batches.append(envelope.payload)
+        )
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        cluster.run(until=1.0)
+        assert batches and pool.completed_ops > 0
+        assert all(batch.result_digests == () and batch.op_keys for batch in batches)
 
     def test_invalid_parameters(self):
         cluster = self._cluster()
