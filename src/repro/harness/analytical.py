@@ -1,33 +1,16 @@
-"""The Table I complexity model, plus measured-authenticator accounting.
+"""The Table I complexity model.
 
 Table I of the paper compares the *view change* of HotStuff and its
 two-phase descendants along four axes: communication, cryptographic
 operations, authenticator complexity, and phase count.  This module
-encodes those asymptotic rows (so the Table I benchmark can print them
-next to measured numbers) and provides :func:`authenticators_in`, the
-counting rule of Section III:
-
-* a partial signature, signature, or combined threshold signature is one
-  authenticator;
-* an aggregate signature over ``t`` *different* messages counts as ``t``
-  authenticators (the Wendy caveat) — our protocols never ship one, so
-  every QC here counts as one under the threshold instantiation.
+encodes those asymptotic rows so ``repro table1`` can print them next to
+the measured numbers; the authenticator counting rule lives with its
+counter in :mod:`repro.obs.complexity`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
-
-from repro.consensus.messages import (
-    AggregateNewView,
-    PhaseMsg,
-    PrePrepareMsg,
-    SyncRequest,
-    SyncResponse,
-    ViewChangeMsg,
-    VoteMsg,
-)
 
 
 @dataclass(frozen=True)
@@ -84,67 +67,3 @@ TABLE_I: list[ComplexityRow] = [
         linear=True,
     ),
 ]
-
-
-def authenticators_in(payload: Any) -> int:
-    """Authenticators carried by one protocol message (threshold scheme).
-
-    Per Section III's counting rules: each QC (a combined threshold
-    signature or the genesis sentinel) is one authenticator; each partial
-    signature is one.
-    """
-    if isinstance(payload, VoteMsg):
-        return 1 + (1 if payload.locked_qc is not None else 0)
-    if isinstance(payload, PhaseMsg):
-        return len(payload.justify.qcs())
-    if isinstance(payload, PrePrepareMsg):
-        total = 0
-        seen: set[bytes] = set()
-        for proposal in payload.proposals:
-            for qc in proposal.justify.qcs():
-                if qc.digest not in seen:
-                    seen.add(qc.digest)
-                    total += 1
-        return total
-    if isinstance(payload, ViewChangeMsg):
-        total = 1 if payload.share is not None else 0
-        if payload.justify is not None:
-            total += len(payload.justify.qcs())
-        return total
-    if isinstance(payload, AggregateNewView):
-        # The quadratic case: every embedded VIEW-CHANGE message carries
-        # its own share and justify, all verified by every recipient.
-        total = len(payload.justify.qcs())
-        for _, proof in payload.proofs:
-            total += authenticators_in(proof)
-        return total
-    if isinstance(payload, (SyncRequest, SyncResponse)):
-        return 0
-    return 0
-
-
-def expected_view_change_messages(protocol: str, n: int, happy: bool) -> tuple[int, int]:
-    """(lower, upper) expected message counts for one view change.
-
-    Counts from the first VIEW-CHANGE send to the first DECIDE delivery,
-    assuming a correct new leader and no further faults.  Used by tests to
-    pin the *linearity* claim: the measured count must be Theta(n).
-
-    Marlin happy:    n VC + n COMMIT + n votes + n DECIDE            ~ 4n
-    Marlin unhappy:  n VC + n PRE-PREPARE + n ppvotes + n PREPARE +
-                     n pvotes + n COMMIT + n cvotes + n DECIDE        ~ 8n
-    HotStuff:        n NEW-VIEW + 4 phases * n + 3 vote rounds * n    ~ 8n
-
-    Bounds are generous (a handful of in-flight pre-crash messages and
-    one pipelined proposal land inside the measurement window) but still
-    rule out quadratic behaviour at the sizes the tests scale to.
-    """
-    if protocol == "marlin" and happy:
-        low, high = 2 * n, 8 * n
-    elif protocol == "marlin":
-        low, high = 5 * n, 11 * n
-    elif protocol == "hotstuff":
-        low, high = 5 * n, 11 * n
-    else:
-        raise ValueError(f"no expectation for protocol {protocol!r}")
-    return low, high

@@ -9,8 +9,9 @@ a closed-loop workload (optionally with one Byzantine replica), and
 returns an :class:`AuditReport`: the auditor's verdict, the cost
 attribution, and the path of the black-box dump when one was written.
 
-:func:`complexity_sweep` is the empirical Table 1 instrument: it repeats
-a happy-path run and a leader-crash view change at several cluster sizes
+:func:`complexity_sweep` is the empirical Table 1 instrument: it runs
+the steady-state and leader-crash cost procedures of
+:mod:`repro.harness.scenarios` at several cluster sizes
 (n ∈ {4, 16, 32, 64, 100} by default), reads per-view wire bytes and
 authenticator counts from the observatory, and fits log-log cost-vs-n
 slopes — the paper's O(n) happy-path / O(n) view-change linearity claims
@@ -31,8 +32,9 @@ from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
 from repro.harness.des_runtime import DESCluster
 from repro.harness.failures import Equivocator, ReplyForger, make_byzantine
+from repro.harness.scenarios import _leader_crash_cost, _observatory, _steady_state_cost
 from repro.harness.workload import ClosedLoopClients
-from repro.obs.complexity import ComplexityObservatory, SlopeFit
+from repro.obs.complexity import SlopeFit
 from repro.obs.observer import RunObservability
 
 #: Cluster sizes the wide-n sweep measures (the observatory's x axis).
@@ -168,9 +170,7 @@ def audited_run(
     cluster = DESCluster(
         experiment, protocol=protocol, crypto_mode=crypto, observability=observability
     )
-    observatory = ComplexityObservatory(num_replicas=n)
-    observatory.disarm()  # warm-up traffic is excluded from the table
-    cluster.network.add_tap(observatory.tap)
+    observatory = _observatory(cluster)  # armed after warm-up
 
     mode = "real" if byzantine == "reply-forger" else "hub"
     client_config = None
@@ -333,36 +333,23 @@ class ComplexitySweep:
 def _happy_point(protocol: str, n: int, seed: int) -> SweepPoint:
     """Steady-state happy-path cost per consensus round at size ``n``.
 
-    Stable leader (huge view timer), light closed-loop load, null crypto
-    with the paper's cost model: each committed block is one happy-path
-    view's worth of traffic, so cost-per-round is the per-view cost the
-    paper's Table 1 bounds.
+    Stable leader, light closed-loop load: each committed block is one
+    happy-path view's worth of traffic, so cost-per-round is the
+    per-view cost the paper's Table 1 bounds.
     """
-    warmup, sim_time = 2.0, 6.0
     config = ClusterConfig(num_replicas=n, batch_size=400, base_timeout=60.0)
-    experiment = ExperimentConfig(cluster=config, seed=seed)
-    cluster = DESCluster(experiment, protocol=protocol, crypto_mode="null")
-    pool = ClosedLoopClients(cluster, num_clients=64, token_weight=1, warmup=warmup)
-    observatory = ComplexityObservatory(num_replicas=n)
-    observatory.disarm()
-    cluster.network.add_tap(observatory.tap)
-    counters = {"blocks": 0}
-
-    def on_commit(block: Any, when: float) -> None:
-        if observatory.armed and block.operations:
-            counters["blocks"] += 1
-
-    cluster.replicas[1].commit_listeners.append(on_commit)
-    cluster.start()
-    cluster.sim.schedule(0.01, pool.start)
-    cluster.sim.schedule(warmup, observatory.arm)
-    cluster.run(until=sim_time)
-    cluster.assert_safety()
-    rounds = max(counters["blocks"], 1)
-    consensus = observatory.consensus
+    blocks, consensus = _steady_state_cost(
+        protocol,
+        ExperimentConfig(cluster=config, seed=seed),
+        clients=64,
+        token_weight=1,
+        warmup=2.0,
+        sim_time=6.0,
+    )
+    rounds = max(blocks, 1)
     return SweepPoint(
         n=n,
-        rounds=counters["blocks"],
+        rounds=blocks,
         messages=consensus.messages / rounds,
         bytes=consensus.bytes / rounds,
         authenticators=consensus.authenticators / rounds,
@@ -370,50 +357,15 @@ def _happy_point(protocol: str, n: int, seed: int) -> SweepPoint:
 
 
 def _view_change_point(protocol: str, n: int, seed: int) -> SweepPoint:
-    """Cost of one leader-crash view change at size ``n``.
-
-    Counts only the view-change message classes (VIEW-CHANGE,
-    PRE-PREPARE, aggregate new-view) between the crash and the first
-    post-crash commit, read from the observatory's per-type rows.
-    """
+    """View-change-only cost of one leader crash at size ``n``."""
     config = ClusterConfig(num_replicas=n, batch_size=400, base_timeout=0.5)
-    experiment = ExperimentConfig(cluster=config, seed=seed)
-    cluster = DESCluster(experiment, protocol=protocol, crypto_mode="null")
-    pool = ClosedLoopClients(cluster, num_clients=32, token_weight=1, target="all")
-    observatory = ComplexityObservatory(num_replicas=n)
-    observatory.disarm()
-    cluster.network.add_tap(observatory.tap)
-    cluster.start()
-    cluster.sim.schedule(0.01, pool.start)
-    crash_time = 3.0
-    cluster.crash_at(0, crash_time)  # replica 0 leads view 1
-    cluster.sim.schedule_at(crash_time, observatory.arm)
-    # A post-crash commit alone is not enough to stop on: a commit QC for
-    # a pre-crash block can still be in flight, landing after the crash
-    # but before any view change.  Wait until a quorum of survivors has
-    # actually entered view 2, then run a short grace period so the view
-    # change's tail traffic is fully attributed.
-    survivors = cluster.replicas[1:]
-    needed = config.quorum - 1
-    cluster.run_until(
-        lambda: sum(1 for r in survivors if r.cview >= 2) >= needed,
-        crash_time + 30.0,
-    )
-    cluster.run(until=cluster.sim.now + 1.0)
-    cluster.assert_safety()
-    messages = bytes_total = authenticators = 0
-    for name in ("ViewChangeMsg", "PrePrepareMsg", "AggregateNewView"):
-        cell = observatory.per_type.get(name)
-        if cell is not None:
-            messages += cell.messages
-            bytes_total += cell.bytes
-            authenticators += cell.authenticators
+    _, vc, _ = _leader_crash_cost(protocol, ExperimentConfig(cluster=config, seed=seed))
     return SweepPoint(
         n=n,
         rounds=1,
-        messages=float(messages),
-        bytes=float(bytes_total),
-        authenticators=float(authenticators),
+        messages=float(vc.messages),
+        bytes=float(vc.bytes),
+        authenticators=float(vc.authenticators),
     )
 
 

@@ -13,13 +13,30 @@ This is the instrument behind the empirical Table 1: per-view cost-vs-n
 points from DES runs feed :func:`fit_loglog_slope`, and the paper's O(n)
 happy-path / O(n) view-change claims become assertions on the fitted
 log-log slope (linear ⇒ slope ≈ 1; quadratic ⇒ slope ≈ 2).
+
+Authenticators are counted by :func:`authenticators_in`, the rule of the
+paper's Section III:
+
+* a partial signature, signature, or combined threshold signature is one
+  authenticator;
+* an aggregate signature over ``t`` *different* messages counts as ``t``
+  authenticators (the Wendy caveat) — our protocols never ship one, so
+  every QC here counts as one under the threshold instantiation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
+
+from repro.consensus.messages import (
+    AggregateNewView,
+    PhaseMsg,
+    PrePrepareMsg,
+    ViewChangeMsg,
+    VoteMsg,
+)
 
 #: Phase buckets the observatory attributes costs to.
 PHASE_BUCKETS = (
@@ -59,14 +76,45 @@ class CostCell:
         self.authenticators += auth
 
 
+def authenticators_in(payload: Any) -> int:
+    """Authenticators carried by one protocol message (threshold scheme).
+
+    Each QC (a combined threshold signature or the genesis sentinel) is
+    one authenticator; each partial signature is one.  Messages without
+    either (sync, client traffic) carry none.
+    """
+    if isinstance(payload, VoteMsg):
+        return 1 + (1 if payload.locked_qc is not None else 0)
+    if isinstance(payload, PhaseMsg):
+        return len(payload.justify.qcs())
+    if isinstance(payload, PrePrepareMsg):
+        total = 0
+        seen: set[bytes] = set()
+        for proposal in payload.proposals:
+            for qc in proposal.justify.qcs():
+                if qc.digest not in seen:
+                    seen.add(qc.digest)
+                    total += 1
+        return total
+    if isinstance(payload, ViewChangeMsg):
+        total = 1 if payload.share is not None else 0
+        if payload.justify is not None:
+            total += len(payload.justify.qcs())
+        return total
+    if isinstance(payload, AggregateNewView):
+        # The quadratic case: every embedded VIEW-CHANGE message carries
+        # its own share and justify, all verified by every recipient.
+        total = len(payload.justify.qcs())
+        for _, proof in payload.proofs:
+            total += authenticators_in(proof)
+        return total
+    return 0
+
+
 class ComplexityObservatory:
     """Attributes delivered traffic per message type, phase and view."""
 
     def __init__(self, num_replicas: int | None = None) -> None:
-        # Lazy import: obs must stay importable without the harness.
-        from repro.harness.analytical import authenticators_in
-
-        self._auth_of: Callable[[Any], int] = authenticators_in
         self.num_replicas = num_replicas
         self.armed = True
         self.per_type: dict[str, CostCell] = {}
@@ -157,7 +205,7 @@ class ComplexityObservatory:
                 cell = self.per_phase[bucket] = CostCell()
             cell.add(size, 0)
             return
-        auth = self._auth_of(payload)
+        auth = authenticators_in(payload)
         self.total.add(size, auth)
         self.consensus.add(size, auth)
         cell = self.per_type.get(name)

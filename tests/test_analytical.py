@@ -1,8 +1,6 @@
-"""Table I accounting: authenticator counting and measured linearity."""
+"""Table I accounting: authenticator counting and the analytical rows."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.consensus.block import genesis_block, make_child
 from repro.consensus.messages import (
@@ -16,11 +14,8 @@ from repro.consensus.messages import (
 )
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
 from repro.crypto.hashing import digest_of
-from repro.harness.analytical import (
-    TABLE_I,
-    authenticators_in,
-    expected_view_change_messages,
-)
+from repro.harness.analytical import TABLE_I
+from repro.obs.complexity import authenticators_in
 
 
 def _summary(view=1, height=1, virtual=False):
@@ -99,50 +94,3 @@ class TestTableI:
         assert marlin.vc_phases == "2 or 3"
         hotstuff = next(row for row in TABLE_I if row.protocol == "HotStuff")
         assert hotstuff.vc_phases == "3"
-
-    def test_expected_message_bounds(self):
-        low, high = expected_view_change_messages("marlin", 4, happy=True)
-        assert low < high
-        with pytest.raises(ValueError):
-            expected_view_change_messages("wendy", 4, happy=True)
-
-
-class TestMeasuredLinearity:
-    """The headline claim: Marlin's view change is Theta(n) messages."""
-
-    @pytest.mark.parametrize("f", [1, 2])
-    def test_marlin_happy_vc_is_linear(self, f):
-        from repro.harness.scenarios import measure_view_change_cost
-
-        cost = measure_view_change_cost("marlin", f)
-        n = cost.n
-        low, high = expected_view_change_messages("marlin", n, happy=True)
-        assert low <= cost.messages <= high, (
-            f"f={f}: {cost.messages} messages outside [{low}, {high}]"
-        )
-        assert cost.phases_to_commit == 2
-
-    def test_marlin_unhappy_vc_is_linear(self):
-        from repro.harness.scenarios import measure_view_change_cost
-
-        cost = measure_view_change_cost("marlin", 1, force_unhappy=True)
-        low, high = expected_view_change_messages("marlin", cost.n, happy=False)
-        assert low <= cost.messages <= high
-        assert cost.phases_to_commit == 3
-
-    def test_hotstuff_vc_is_linear(self):
-        from repro.harness.scenarios import measure_view_change_cost
-
-        cost = measure_view_change_cost("hotstuff", 1)
-        low, high = expected_view_change_messages("hotstuff", cost.n, happy=False)
-        assert low <= cost.messages <= high
-
-    def test_authenticators_scale_linearly(self):
-        from repro.harness.scenarios import measure_view_change_cost
-
-        small = measure_view_change_cost("marlin", 1)
-        large = measure_view_change_cost("marlin", 3)
-        ratio = large.authenticators / small.authenticators
-        n_ratio = large.n / small.n
-        # Linear: authenticators grow ~ n, certainly not ~ n^2.
-        assert ratio < n_ratio**2 * 0.6

@@ -56,6 +56,12 @@ class TestCliExecution:
         assert main(["viewchange", "--sim-time", "10"]) == 0
         assert "view change latency" in capsys.readouterr().out
 
+    def test_table1_runs(self, capsys):
+        assert main(["table1", "--f", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Table I (measured)" in out
+        assert "fast-hotstuff" in out
+
     def test_fuzz_runs(self, capsys):
         assert main(["fuzz", "--seed", "1", "--sim-time", "8"]) == 0
         assert "safety           : OK" in capsys.readouterr().out

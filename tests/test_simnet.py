@@ -263,6 +263,51 @@ class TestAccounting:
         assert net.stats.per_pair_bytes[(0, 1)] > net.stats.per_pair_bytes[(1, 0)]
         assert sum(net.stats.per_pair_bytes.values()) == net.stats.bytes
 
+    def test_stable_leader_links_are_star_shaped(self):
+        """Per-link bytes under a stable leader (marlin, f = 1, steady state).
+
+        The leader proposes to every follower, every follower votes back
+        to the leader, and followers never talk to each other; proposal
+        links carry the batches, vote links only constant-size votes.
+        """
+        from repro.common.config import ClusterConfig, ExperimentConfig
+        from repro.harness.des_runtime import DESCluster
+        from repro.harness.workload import ClosedLoopClients
+
+        config = ClusterConfig.for_f(1, batch_size=400, base_timeout=60.0)
+        cluster = DESCluster(
+            ExperimentConfig(cluster=config, seed=6), protocol="marlin", crypto_mode="null"
+        )
+        pool = ClosedLoopClients(cluster, num_clients=256, token_weight=2, warmup=2.0)
+        cluster.start()
+        cluster.sim.schedule(0.01, pool.start)
+        cluster.sim.schedule(2.0, cluster.network.reset_stats)  # drop boot traffic
+        cluster.run(until=10.0)
+        cluster.assert_safety()
+        stats = cluster.network.stats
+        n = config.num_replicas
+        pairs = {
+            (src, dst): (stats.per_pair[(src, dst)], stats.per_pair_bytes[(src, dst)])
+            for src, dst in stats.per_pair
+            # Replica-to-replica links only: skip the client hub and the
+            # loopback delivery of a replica's own broadcasts.
+            if src < n and dst < n and src != dst
+        }
+        leader = 0  # replica 0 leads view 1 and is never deposed here
+        assert {pair for pair in pairs if pair[0] == leader} == {
+            (leader, dst) for dst in range(1, n)
+        }
+        assert {pair for pair in pairs if pair[0] != leader} == {
+            (src, leader) for src in range(1, n)
+        }
+        vote_bytes_per_msg = max(
+            nbytes / msgs for (src, _), (msgs, nbytes) in pairs.items() if src != leader
+        )
+        proposal_bytes_per_msg = min(
+            nbytes / msgs for (src, _), (msgs, nbytes) in pairs.items() if src == leader
+        )
+        assert proposal_bytes_per_msg > vote_bytes_per_msg * 10
+
     def test_sizer_fallback_counted_and_warned_once(self, caplog):
         import logging
 

@@ -1,9 +1,9 @@
 """Table 1 work counts of every protocol, pinned exactly.
 
 The paper's central claim is linear communication in the normal case
-and in the view change.  ``tests/test_normal_case_cost.py`` checks the
-shape within 25 %; this golden pins the exact counts the complexity
-instruments report for every registered protocol at n = 4 and n = 31:
+and in the view change.  This golden pins the exact counts the complexity
+instruments report for every registered protocol at n = 4 and n = 31,
+and ``tests/test_table1_shape.py`` asserts the paper's claims over them:
 
 * messages, bytes and authenticators per committed block at steady
   state (:func:`measure_normal_case_cost`);
@@ -259,7 +259,7 @@ VIEW_CHANGE = {
         "messages": 28,
         "bytes_total": 26399,
         "authenticators": 28,
-        "phases_to_commit": 2,
+        "phases_to_commit": 3,
         "vc_messages": 3,
         "vc_bytes": 783,
         "vc_authenticators": 3,
@@ -279,7 +279,7 @@ VIEW_CHANGE = {
         "messages": 274,
         "bytes_total": 214382,
         "authenticators": 274,
-        "phases_to_commit": 2,
+        "phases_to_commit": 3,
         "vc_messages": 30,
         "vc_bytes": 7830,
         "vc_authenticators": 30,
@@ -309,30 +309,30 @@ VIEW_CHANGE = {
         "messages": 18,
         "bytes_total": 27397,
         "authenticators": 45,
-        "phases_to_commit": 3,
+        "phases_to_commit": 2,
         "vc_messages": 7,
         "vc_bytes": 25639,
         "vc_authenticators": 34,
     },
     ("fast-hotstuff", 10, "happy"): {
         "n": 31,
-        "messages": 30,
-        "bytes_total": 4680,
-        "authenticators": 30,
+        "messages": 183,
+        "bytes_total": 341002,
+        "authenticators": 1515,
         "phases_to_commit": 2,
-        "vc_messages": 0,
-        "vc_bytes": 0,
-        "vc_authenticators": 0,
+        "vc_messages": 61,
+        "vc_bytes": 321550,
+        "vc_authenticators": 1393,
     },
     ("fast-hotstuff", 10, "unhappy"): {
         "n": 31,
-        "messages": 30,
-        "bytes_total": 4680,
-        "authenticators": 30,
-        "phases_to_commit": 3,
-        "vc_messages": 0,
-        "vc_bytes": 0,
-        "vc_authenticators": 0,
+        "messages": 183,
+        "bytes_total": 341002,
+        "authenticators": 1515,
+        "phases_to_commit": 2,
+        "vc_messages": 61,
+        "vc_bytes": 321550,
+        "vc_authenticators": 1393,
     },
     ("insecure", 1, "happy"): {
         "n": 4,
@@ -349,30 +349,30 @@ VIEW_CHANGE = {
         "messages": 18,
         "bytes_total": 24797,
         "authenticators": 21,
-        "phases_to_commit": 3,
+        "phases_to_commit": 2,
         "vc_messages": 3,
         "vc_bytes": 783,
         "vc_authenticators": 6,
     },
     ("insecure", 10, "happy"): {
         "n": 31,
-        "messages": 30,
-        "bytes_total": 4680,
-        "authenticators": 30,
+        "messages": 213,
+        "bytes_total": 204446,
+        "authenticators": 243,
         "phases_to_commit": 2,
-        "vc_messages": 0,
-        "vc_bytes": 0,
-        "vc_authenticators": 0,
+        "vc_messages": 30,
+        "vc_bytes": 7830,
+        "vc_authenticators": 60,
     },
     ("insecure", 10, "unhappy"): {
         "n": 31,
-        "messages": 30,
-        "bytes_total": 4680,
-        "authenticators": 30,
-        "phases_to_commit": 3,
-        "vc_messages": 0,
-        "vc_bytes": 0,
-        "vc_authenticators": 0,
+        "messages": 213,
+        "bytes_total": 204446,
+        "authenticators": 243,
+        "phases_to_commit": 2,
+        "vc_messages": 30,
+        "vc_bytes": 7830,
+        "vc_authenticators": 60,
     },
 }
 
