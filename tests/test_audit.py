@@ -287,6 +287,8 @@ class TestAuditedRuns:
         assert sweep.sizes == [4, 16]
         assert all(p.bytes > 0 for p in sweep.happy)
         assert all(p.messages > 0 for p in sweep.view_change)
+        # A window that closes before the view change measures nothing.
+        assert all(p.authenticators > 0 for p in sweep.view_change)
         payload = sweep.to_dict()
         assert len(payload["fits"]) == 4
         # Two sizes fit an exact line; the verdict machinery must run.
