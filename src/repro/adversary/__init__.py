@@ -3,11 +3,14 @@
 This package turns the repository's ad-hoc fault strategies into a
 declarative adversary model:
 
-* :mod:`repro.adversary.behaviors` — a registry of composable,
-  seed-deterministic Byzantine behaviours declared through a frozen
+* :mod:`repro.adversary.behaviors` — the one fault library: a registry
+  of composable, seed-deterministic Byzantine behaviours, plus crashes
+  and partitions, declared through a frozen
   :class:`~repro.adversary.behaviors.AdversaryConfig` and installed onto
   a live DES cluster with
   :func:`~repro.adversary.behaviors.apply_adversary`;
+* :mod:`repro.adversary.fuzz` — seeded random crashes and partitions,
+  drawn as an ``AdversaryConfig`` per run;
 * :mod:`repro.adversary.scenarios` — a named library of attack scenarios
   (equivocating leaders, gray failures, partitions, churn, and a
   Fast-HotStuff-style forking attack) that plugs straight into
@@ -32,6 +35,7 @@ from repro.adversary.behaviors import (
 )
 from repro.adversary.campaign import CampaignResult, CellResult, run_campaign
 from repro.adversary.checker import SafetyChecker, SafetyReport
+from repro.adversary.fuzz import FuzzReport, fuzz_schedule
 from repro.adversary.scenarios import (
     ADVERSARY_SCENARIOS,
     AdversaryScenario,
@@ -47,11 +51,13 @@ __all__ = [
     "CampaignResult",
     "CellResult",
     "CrashEvent",
+    "FuzzReport",
     "PartitionWindow",
     "SafetyChecker",
     "SafetyReport",
     "apply_adversary",
     "behavior_kinds",
+    "fuzz_schedule",
     "get_scenario",
     "list_scenarios",
     "run_campaign",

@@ -8,16 +8,20 @@ which replicas crash — and *installed* onto a live
 same config object can flow through result caches, worker processes and
 scenario registries as plain data.
 
-Behaviours are named kinds in a registry (:func:`behavior_kinds`); each
-kind is a factory that builds a wire :class:`~repro.harness.failures.Strategy`
-for one replica.  Randomised kinds draw from a private
-:func:`~repro.harness.failures.strategy_rng` stream keyed on
+Each behaviour kind is one :class:`Strategy` subclass that interposes on
+a replica's outbound traffic: the replica still runs correct code, but
+its messages are dropped, delayed, mutated or equivocated on the wire,
+which is exactly the power the BFT adversary has over a compromised
+node.  The class states its registry name, its summary and its
+parameters with their defaults; :data:`BEHAVIOR_KINDS` is derived from
+the classes and :func:`behavior_kinds` lists it.  Randomised kinds draw
+from a private :func:`strategy_rng` stream keyed on
 ``(seed, kind, replica)``, so every adversarial run replays
 bit-identically from its seed regardless of how many other behaviours
 run beside it.
 
-The one protocol-aware behaviour lives here too: :class:`ForkingLeader`,
-the Fast-HotStuff-style forking attack (Rondelet–Kilbourn's attack shape
+The one protocol-aware behaviour is :class:`ForkingLeader`, the
+Fast-HotStuff-style forking attack (Rondelet–Kilbourn's attack shape
 against two-phase HotStuff without the unlock rule).  The Byzantine
 leader commits the cluster to a block through a hidden quorum, then
 forever replays a *stale* prepareQC in its view-change messages so that
@@ -30,26 +34,15 @@ proposal — while Marlin (rank rules + Case R2), three-phase HotStuff
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+import random
+import zlib
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, ClassVar, Iterable, Mapping
 
 from repro.consensus.block import genesis_block
-from repro.consensus.messages import Justify, PhaseMsg, ViewChangeMsg, VoteMsg
+from repro.consensus.messages import ClientReply, Justify, PhaseMsg, ViewChangeMsg, VoteMsg
 from repro.consensus.qc import Phase, QuorumCertificate, genesis_qc
-from repro.harness.failures import (
-    ComposedStrategy,
-    Delayer,
-    Equivocator,
-    GrayFailure,
-    QCHider,
-    ReplyForger,
-    SilenceWindows,
-    SilentAfter,
-    Strategy,
-    VCDelayer,
-    VoteWithholder,
-    strategy_rng,
-)
 
 Params = Mapping[str, Any]
 Send = Callable[[int, Any], None]
@@ -117,7 +110,296 @@ class AdversaryConfig:
 
 
 # ---------------------------------------------------------------------------
-# The forking attack
+# Behaviour kinds
+
+
+def strategy_rng(seed: int, kind: str, replica: int) -> random.Random:
+    """A private RNG stream for one strategy instance.
+
+    The stream is keyed on ``(seed, kind, replica)`` through a CRC so
+    that (a) two strategies in the same run never share a stream — one
+    drawing more numbers cannot shift what the other sees — and (b) the
+    same strategy replays identically across runs, processes and worker
+    fan-outs.  This is what makes adversarial campaigns cacheable and
+    byte-comparable across ``--jobs`` settings.
+    """
+    return random.Random(zlib.crc32(f"adv:{seed}:{kind}:{replica}".encode()))
+
+
+def _genesis_justify() -> Justify:
+    return Justify(genesis_qc(genesis_block()))
+
+
+class Strategy:
+    """Base class: decide what actually goes on the wire.
+
+    A behaviour kind sets ``kind`` (its registry name) and ``summary``
+    and takes its spec's params as keyword arguments with defaults.
+    :meth:`build` makes one from a spec; a kind overrides it only to
+    hand its constructor the cluster, the replica id or the RNG stream.
+    """
+
+    kind: ClassVar[str] = ""
+    summary: ClassVar[str] = ""
+
+    @classmethod
+    def build(
+        cls, cluster: Any, replica: int, rng: random.Random, params: Params
+    ) -> "Strategy":
+        return cls(**params)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        send(dst, payload)
+
+
+class SilentAfter(Strategy):
+    kind = "silent-after"
+    summary = "stop sending anything after a set time (undetectable crash)"
+
+    def __init__(self, after: float = 2.0) -> None:
+        self.after = float(after)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if now < self.after:
+            send(dst, payload)
+
+
+class VoteWithholder(Strategy):
+    kind = "withhold-votes"
+    summary = "suppress all votes (liveness attack on the quorum)"
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if not isinstance(payload, VoteMsg):
+            send(dst, payload)
+
+
+class Delayer(Strategy):
+    """Hold every outbound message for ``delay`` plus ``U(0, jitter)``.
+
+    The jitter is drawn from this strategy's private :func:`strategy_rng`
+    stream, so the noise replays deterministically; ``jitter=0`` draws
+    nothing and holds every message for exactly ``delay``.
+    """
+
+    kind = "delay"
+    summary = "hold every outbound message for a fixed time plus seeded jitter"
+
+    def __init__(
+        self, cluster: Any, rng: random.Random, delay: float = 0.1, jitter: float = 0.0
+    ) -> None:
+        self.cluster = cluster
+        self.rng = rng
+        self.delay = float(delay)
+        self.jitter = float(jitter)
+
+    @classmethod
+    def build(cls, cluster: Any, replica: int, rng: random.Random, params: Params) -> Strategy:
+        return cls(cluster, rng, **params)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        delay = self.delay
+        if self.jitter > 0.0:
+            delay += self.rng.uniform(0.0, self.jitter)
+        self.cluster.sim.schedule(delay, lambda: send(dst, payload))
+
+
+class Equivocator(Strategy):
+    """Send a conflicting sibling block to the upper half of the cluster."""
+
+    kind = "equivocate"
+    summary = "as leader, send conflicting sibling blocks to half the cluster"
+
+    def __init__(self, num_replicas: int) -> None:
+        self.num_replicas = num_replicas
+
+    @classmethod
+    def build(cls, cluster: Any, replica: int, rng: random.Random, params: Params) -> Strategy:
+        return cls(cluster.experiment.cluster.num_replicas, **params)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if (
+            isinstance(payload, PhaseMsg)
+            and payload.phase == Phase.PREPARE
+            and payload.block is not None
+            and dst >= self.num_replicas // 2
+        ):
+            sibling = replace(payload.block, proposer=payload.block.proposer + 100)
+            send(dst, PhaseMsg(phase=payload.phase, view=payload.view, justify=payload.justify, block=sibling))
+        else:
+            send(dst, payload)
+
+
+class QCHider(Strategy):
+    """Claim ignorance in view changes: ship the genesis QC as justify."""
+
+    kind = "qc-hide"
+    summary = "claim only the genesis QC in every view change"
+
+    def __init__(self) -> None:
+        self.genesis_justify = _genesis_justify()
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if isinstance(payload, ViewChangeMsg):
+            send(
+                dst,
+                ViewChangeMsg(
+                    view=payload.view,
+                    last_voted=payload.last_voted,
+                    justify=self.genesis_justify,
+                    share=payload.share,
+                ),
+            )
+        else:
+            send(dst, payload)
+
+
+class AmnesiacVC(Strategy):
+    """Forget the lock after ``after``: an ABC-style amnesiac replica.
+
+    Before ``after`` the replica reports honestly; afterwards every
+    view-change message claims only the genesis QC — the knowledge loss
+    of a node restored from a stale backup.  Safe protocols tolerate it
+    (the snapshot quorum still intersects an honest majority that does
+    remember); the auditor records nothing because forgetting is not
+    equivocating.
+    """
+
+    kind = "amnesia"
+    summary = "report honestly until a cutoff, then forget the lock (stale backup)"
+
+    def __init__(self, after: float = 2.0) -> None:
+        self.genesis_justify = _genesis_justify()
+        self.after = float(after)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if isinstance(payload, ViewChangeMsg) and now >= self.after:
+            send(
+                dst,
+                ViewChangeMsg(
+                    view=payload.view,
+                    last_voted=None,
+                    justify=self.genesis_justify,
+                    share=payload.share,
+                ),
+            )
+        else:
+            send(dst, payload)
+
+
+class ReplyForger(Strategy):
+    """Forge client replies: corrupt the result and its digest.
+
+    Models a compromised replica lying to clients about execution
+    outcomes.  The forged digest is deterministic (bitwise complement)
+    so colluding forgers *agree with each other* — the strongest version
+    of the attack: with at most ``f`` forgers there are still only ``f``
+    matching forged replies, one short of a certificate, so a
+    :class:`~repro.client.ReplyCollector` must never certify one.
+    """
+
+    kind = "reply-forge"
+    summary = "corrupt the result digest of every client reply"
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if isinstance(payload, ClientReply):
+            forged_digest = bytes(b ^ 0xFF for b in payload.result_digest) or b"\xff" * 32
+            send(
+                dst,
+                replace(payload, result=b"forged", result_digest=forged_digest),
+            )
+        else:
+            send(dst, payload)
+
+
+class GrayFailure(Strategy):
+    """A limping node: drop some messages, slow others, deliver the rest.
+
+    Gray failures (partial, probabilistic degradation) are the faults
+    failure detectors handle worst: the node is never *down*, so timeouts
+    fire erratically rather than cleanly.  ``drop_p`` and ``slow_p`` are
+    evaluated per outbound message from this strategy's private ``rng``
+    stream; a slowed message is held for ``U(0, slow_delay)``.
+    """
+
+    kind = "gray"
+    summary = "probabilistically drop or slow messages (limping node)"
+
+    def __init__(
+        self,
+        cluster: Any,
+        rng: random.Random,
+        drop_p: float = 0.1,
+        slow_p: float = 0.3,
+        slow_delay: float = 0.2,
+    ) -> None:
+        self.cluster = cluster
+        self.rng = rng
+        self.drop_p = float(drop_p)
+        self.slow_p = float(slow_p)
+        self.slow_delay = float(slow_delay)
+
+    @classmethod
+    def build(cls, cluster: Any, replica: int, rng: random.Random, params: Params) -> Strategy:
+        return cls(cluster, rng, **params)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        roll = self.rng.random()
+        if roll < self.drop_p:
+            return
+        if roll < self.drop_p + self.slow_p:
+            delay = self.rng.uniform(0.0, self.slow_delay)
+            self.cluster.sim.schedule(delay, lambda: send(dst, payload))
+            return
+        send(dst, payload)
+
+
+class SilenceWindows(Strategy):
+    """Go dark during scheduled intervals (crash–recover churn).
+
+    ``crash_at`` is permanent; real churn is not.  A replica under this
+    strategy keeps *running* (its timers fire, its state advances) but
+    nothing it sends during a window reaches the wire — exactly what a
+    node rebooting or wedged behind a full NIC queue looks like to the
+    rest of the cluster.  Windows are ``(start, end)`` pairs in sim time.
+    """
+
+    kind = "silence-windows"
+    summary = "go dark over scheduled intervals (crash-recover churn)"
+
+    def __init__(self, windows: Iterable[tuple[float, float]] = ((2.0, 4.0),)) -> None:
+        self.windows = tuple((float(start), float(end)) for start, end in windows)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        for start, end in self.windows:
+            if start <= now < end:
+                return
+        send(dst, payload)
+
+
+class VCDelayer(Strategy):
+    """Delay only VIEW-CHANGE messages by ``lag``; everything else flows.
+
+    The forking attack's accomplice: lagging one replica's view-change
+    report controls *whose* snapshot a new leader assembles its quorum
+    from, without disturbing the replica's votes or proposals.
+    """
+
+    kind = "vc-lag"
+    summary = "delay only view-change messages (snapshot steering)"
+
+    def __init__(self, cluster: Any, lag: float = 0.25) -> None:
+        self.cluster = cluster
+        self.lag = float(lag)
+
+    @classmethod
+    def build(cls, cluster: Any, replica: int, rng: random.Random, params: Params) -> Strategy:
+        return cls(cluster, **params)
+
+    def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
+        if isinstance(payload, ViewChangeMsg):
+            self.cluster.sim.schedule(self.lag, lambda: send(dst, payload))
+        else:
+            send(dst, payload)
 
 
 class ForkingLeader(Strategy):
@@ -148,6 +430,9 @@ class ForkingLeader(Strategy):
     against the run's own healthy prefix.
     """
 
+    kind = "forking-leader"
+    summary = "two-phase forking attack: hidden commit, then stale-QC replay"
+
     def __init__(
         self,
         cluster: Any,
@@ -161,10 +446,14 @@ class ForkingLeader(Strategy):
         n = cluster.experiment.cluster.num_replicas
         self.locked = (replica_id - 1) % n if locked is None else locked
         self.hidden = (replica_id - 2) % n if hidden is None else hidden
-        self.trigger = trigger_height
+        self.trigger = int(trigger_height)
         self.stale_qc: QuorumCertificate | None = None
         self.trigger_view: int | None = None
         self.attacking = False
+
+    @classmethod
+    def build(cls, cluster: Any, replica: int, rng: random.Random, params: Params) -> Strategy:
+        return cls(cluster, replica, **params)
 
     def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
         if not self.attacking:
@@ -238,175 +527,46 @@ class ForkingLeader(Strategy):
         )
 
 
-class AmnesiacVC(Strategy):
-    """Forget the lock after ``after``: an ABC-style amnesiac replica.
+class ComposedStrategy(Strategy):
+    """Chain strategies: the first sees the raw send, wrapped in order.
 
-    Before ``after`` the replica reports honestly; afterwards every
-    view-change message claims only the genesis QC — the knowledge loss
-    of a node restored from a stale backup.  Safe protocols tolerate it
-    (the snapshot quorum still intersects an honest majority that does
-    remember); the auditor records nothing because forgetting is not
-    equivocating.
+    ``ComposedStrategy([a, b])`` runs ``a`` first; whatever ``a`` decides
+    to send is then subject to ``b``.  This is how one replica plays
+    several roles at once (e.g. withhold votes *and* hide its QC).
     """
 
-    def __init__(self, genesis_justify: Justify, after: float) -> None:
-        self.genesis_justify = genesis_justify
-        self.after = after
+    def __init__(self, strategies: list[Strategy]) -> None:
+        self.strategies = list(strategies)
 
     def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
-        if isinstance(payload, ViewChangeMsg) and now >= self.after:
-            send(
-                dst,
-                ViewChangeMsg(
-                    view=payload.view,
-                    last_voted=None,
-                    justify=self.genesis_justify,
-                    share=payload.share,
-                ),
-            )
-        else:
-            send(dst, payload)
+        chain = send
+        for strategy in reversed(self.strategies[1:]):
+            chain = self._wrap(now, strategy, chain)
+        self.strategies[0].outbound(now, dst, payload, chain)
+
+    @staticmethod
+    def _wrap(now: float, strategy: Strategy, send: Send) -> Send:
+        def chained(dst: int, payload: Any) -> None:
+            strategy.outbound(now, dst, payload, send)
+
+        return chained
 
 
-# ---------------------------------------------------------------------------
-# Registry
-
-
-@dataclass(frozen=True)
-class BehaviorKind:
-    """A registered behaviour: name, one-line summary, strategy factory."""
-
-    name: str
-    summary: str
-    build: Callable[[Any, int, Any, Params], Strategy] = field(compare=False)
-
-
-def _genesis_justify() -> Justify:
-    return Justify(genesis_qc(genesis_block()))
-
-
-def _build_silent_after(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return SilentAfter(after=float(p.get("after", 2.0)))
-
-
-def _build_withhold(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return VoteWithholder()
-
-
-def _build_delay(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return Delayer(
-        cluster,
-        delay=float(p.get("delay", 0.1)),
-        jitter=float(p.get("jitter", 0.0)),
-        rng=rng,
-    )
-
-
-def _build_equivocate(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return Equivocator(cluster.experiment.cluster.num_replicas)
-
-
-def _build_qc_hide(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return QCHider(_genesis_justify())
-
-
-def _build_amnesia(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return AmnesiacVC(_genesis_justify(), after=float(p.get("after", 2.0)))
-
-
-def _build_reply_forge(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return ReplyForger()
-
-
-def _build_gray(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return GrayFailure(
-        cluster,
-        rng,
-        drop_p=float(p.get("drop_p", 0.1)),
-        slow_p=float(p.get("slow_p", 0.3)),
-        slow_delay=float(p.get("slow_delay", 0.2)),
-    )
-
-
-def _build_silence_windows(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    windows = tuple(
-        (float(start), float(end)) for start, end in p.get("windows", ((2.0, 4.0),))
-    )
-    return SilenceWindows(windows)
-
-
-def _build_vc_lag(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return VCDelayer(cluster, delay=float(p.get("lag", 0.25)))
-
-
-def _build_forking_leader(cluster: Any, replica: int, rng: Any, p: Params) -> Strategy:
-    return ForkingLeader(
-        cluster,
-        replica,
-        trigger_height=int(p.get("trigger_height", 3)),
-        locked=p.get("locked"),
-        hidden=p.get("hidden"),
-    )
-
-
-BEHAVIOR_KINDS: dict[str, BehaviorKind] = {
-    kind.name: kind
-    for kind in (
-        BehaviorKind(
-            "silent-after",
-            "stop sending anything after a set time (undetectable crash)",
-            _build_silent_after,
-        ),
-        BehaviorKind(
-            "withhold-votes",
-            "suppress all votes (liveness attack on the quorum)",
-            _build_withhold,
-        ),
-        BehaviorKind(
-            "delay",
-            "hold every outbound message for a fixed time plus seeded jitter",
-            _build_delay,
-        ),
-        BehaviorKind(
-            "equivocate",
-            "as leader, send conflicting sibling blocks to half the cluster",
-            _build_equivocate,
-        ),
-        BehaviorKind(
-            "qc-hide",
-            "claim only the genesis QC in every view change",
-            _build_qc_hide,
-        ),
-        BehaviorKind(
-            "amnesia",
-            "report honestly until a cutoff, then forget the lock (stale backup)",
-            _build_amnesia,
-        ),
-        BehaviorKind(
-            "reply-forge",
-            "corrupt the result digest of every client reply",
-            _build_reply_forge,
-        ),
-        BehaviorKind(
-            "gray",
-            "probabilistically drop or slow messages (limping node)",
-            _build_gray,
-        ),
-        BehaviorKind(
-            "silence-windows",
-            "go dark over scheduled intervals (crash-recover churn)",
-            _build_silence_windows,
-        ),
-        BehaviorKind(
-            "vc-lag",
-            "delay only view-change messages (snapshot steering)",
-            _build_vc_lag,
-        ),
-        BehaviorKind(
-            "forking-leader",
-            "two-phase forking attack: hidden commit, then stale-QC replay",
-            _build_forking_leader,
-        ),
+#: Registry name -> behaviour class, one entry per kind.
+BEHAVIOR_KINDS: dict[str, type[Strategy]] = {
+    cls.kind: cls
+    for cls in (
+        SilentAfter,
+        VoteWithholder,
+        Delayer,
+        Equivocator,
+        QCHider,
+        AmnesiacVC,
+        ReplyForger,
+        GrayFailure,
+        SilenceWindows,
+        VCDelayer,
+        ForkingLeader,
     )
 }
 
@@ -420,6 +580,14 @@ def behavior_kinds() -> dict[str, str]:
 # Installation
 
 
+def _check_replica(what: str, replica: int, limit: int) -> None:
+    if not 0 <= replica < limit:
+        raise ValueError(
+            f"{what} targets replica {replica}, "
+            f"but the cluster only has replicas 0..{limit - 1} to target"
+        )
+
+
 def apply_adversary(
     cluster: Any, config: AdversaryConfig, seed: int | None = None
 ) -> None:
@@ -427,12 +595,14 @@ def apply_adversary(
 
     Behaviours targeting the same replica compose in declaration order
     (the first spec sees the raw wire).  Each randomised behaviour gets
-    its own :func:`~repro.harness.failures.strategy_rng` stream keyed on
+    its own :func:`strategy_rng` stream keyed on
     ``(seed + seed_salt, kind, replica)``; ``seed`` defaults to the
-    experiment's seed so a run is fully determined by its config.
+    experiment's seed so a run is fully determined by its config.  Only
+    voting replicas can misbehave or be partitioned; any replica,
+    learners included, can crash.  A declaration naming a replica the
+    cluster does not have raises :class:`ValueError` before anything is
+    installed.
     """
-    from repro.harness.failures import make_byzantine
-
     if seed is None:
         seed = cluster.experiment.seed
     seed = seed + config.seed_salt
@@ -444,30 +614,38 @@ def apply_adversary(
         if kind is None:
             known = ", ".join(sorted(BEHAVIOR_KINDS))
             raise ValueError(f"unknown behavior kind {spec.kind!r} (known: {known})")
-        if not 0 <= spec.replica < num_replicas:
-            raise ValueError(
-                f"behavior {spec.kind!r} targets replica {spec.replica}, "
-                f"but only voting replicas 0..{num_replicas - 1} can misbehave"
-            )
+        _check_replica(f"behavior {spec.kind!r}", spec.replica, num_replicas)
         rng = strategy_rng(seed, spec.kind, spec.replica)
         strategy = kind.build(cluster, spec.replica, rng, spec.params_dict)
         per_replica.setdefault(spec.replica, []).append(strategy)
+    for window in config.partitions:
+        for replica in window.group:
+            _check_replica(f"partition at {window.start}s", replica, num_replicas)
+    for crash in config.crashes:
+        _check_replica(
+            f"crash at {crash.when}s", crash.replica, cluster.experiment.cluster.total_replicas
+        )
 
     for replica_id, strategies in per_replica.items():
-        if len(strategies) == 1:
-            make_byzantine(cluster, replica_id, strategies[0])
-        else:
-            make_byzantine(cluster, replica_id, ComposedStrategy(strategies))
+        strategy = strategies[0] if len(strategies) == 1 else ComposedStrategy(strategies)
+        _make_byzantine(cluster, replica_id, strategy)
 
     for window in config.partitions:
-        group = [r for r in window.group if 0 <= r < num_replicas]
-        rest = [r for r in range(num_replicas) if r not in group]
-
-        def cut(group: Iterable[int] = tuple(group), rest: Iterable[int] = tuple(rest)) -> None:
-            cluster.network.partition(list(group), list(rest))
-
+        rest = [r for r in range(num_replicas) if r not in window.group]
+        cut = partial(cluster.network.partition, list(window.group), rest)
         cluster.sim.schedule_at(window.start, cut)
         cluster.sim.schedule_at(window.start + window.duration, cluster.network.heal_all)
 
     for crash in config.crashes:
         cluster.crash_at(crash.replica, crash.when)
+
+
+def _make_byzantine(cluster: Any, replica_id: int, strategy: Strategy) -> None:
+    """Interpose ``strategy`` on every outbound message of ``replica_id``."""
+    ctx = cluster.replicas[replica_id].ctx
+    original_send = ctx.send
+
+    def intercepted(dst: int, payload: Any) -> None:
+        strategy.outbound(cluster.sim.now, dst, payload, original_send)
+
+    ctx.send = intercepted  # type: ignore[method-assign]

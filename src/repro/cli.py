@@ -598,7 +598,7 @@ def _cmd_latency(args: argparse.Namespace) -> None:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> None:
-    from repro.harness.failures import fuzz_schedule
+    from repro.adversary import fuzz_schedule
 
     report = fuzz_schedule(args.seed, protocol=args.protocol, f=args.f, sim_time=args.sim_time)
     print(f"fuzz seed={report.seed} protocol={report.protocol}")

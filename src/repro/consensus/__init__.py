@@ -18,7 +18,7 @@ Layout:
 
 from repro.consensus.block import Block, Operation, genesis_block
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
-from repro.consensus.rank import Rank, compare_block_rank, compare_qc_rank
+from repro.consensus.rank import Rank, compare_qc_rank
 
 __all__ = [
     "Block",
@@ -27,7 +27,6 @@ __all__ = [
     "Phase",
     "QuorumCertificate",
     "Rank",
-    "compare_block_rank",
     "compare_qc_rank",
     "genesis_block",
 ]

@@ -83,21 +83,6 @@ def block_rank_higher(b1: BlockSummary, b2: BlockSummary) -> bool:
     return False
 
 
-def compare_block_rank(b1: BlockSummary | None, b2: BlockSummary | None) -> Rank:
-    """Three-way block-rank comparison; ``None`` ranks below everything."""
-    if b1 is None and b2 is None:
-        return Rank.EQUAL
-    if b1 is None:
-        return Rank.LOWER
-    if b2 is None:
-        return Rank.HIGHER
-    if block_rank_higher(b1, b2):
-        return Rank.HIGHER
-    if block_rank_higher(b2, b1):
-        return Rank.LOWER
-    return Rank.EQUAL
-
-
 def highest_qcs(qcs: list[QuorumCertificate]) -> list[QuorumCertificate]:
     """All maxima of the rank partial order over ``qcs``, deduplicated.
 

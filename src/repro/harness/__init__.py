@@ -9,12 +9,13 @@ This package turns the protocol library into the paper's evaluation:
 * :mod:`repro.harness.metrics` — latency recorders, throughput windows;
 * :mod:`repro.harness.scenarios` — canned experiments, one per figure;
 * :mod:`repro.harness.analytical` — the Table I complexity model;
-* :mod:`repro.harness.failures` — crash/partition/Byzantine injection and
-  the random-adversity fuzzer;
 * :mod:`repro.harness.explorer` — adversarial message-interleaving hunts;
 * :mod:`repro.harness.timeline` — structured protocol event traces;
 * :mod:`repro.harness.results` — result persistence and regression diffs;
 * :mod:`repro.harness.report` — paper-vs-measured table formatting.
+
+Declared crash, partition and Byzantine injection, and the
+random-adversity fuzzer, live in :mod:`repro.adversary`.
 """
 
 from repro.harness.des_runtime import DESCluster

@@ -28,10 +28,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.adversary.behaviors import AdversaryConfig, BehaviorSpec, apply_adversary
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
 from repro.harness.des_runtime import DESCluster
-from repro.harness.failures import Equivocator, ReplyForger, make_byzantine
 from repro.harness.scenarios import _leader_crash_cost, _observatory, _steady_state_cost
 from repro.harness.workload import ClosedLoopClients
 from repro.obs.complexity import SlopeFit
@@ -40,8 +40,13 @@ from repro.obs.observer import RunObservability
 #: Cluster sizes the wide-n sweep measures (the observatory's x axis).
 SWEEP_SIZES = (4, 16, 32, 64, 100)
 
-#: Byzantine strategies ``audited_run`` can inject.
-BYZANTINE_MODES = ("none", "equivocator", "reply-forger")
+#: Byzantine strategies ``audited_run`` can inject, by CLI name.
+BYZANTINE_MODES = {
+    "none": AdversaryConfig(),
+    # Replica 0 leads view 1.
+    "equivocator": AdversaryConfig(behaviors=(BehaviorSpec.make("equivocate", 0),)),
+    "reply-forger": AdversaryConfig(behaviors=(BehaviorSpec.make("reply-forge", 1),)),
+}
 
 #: Log-log slope bound below which a cost curve counts as linear.
 DEFAULT_MAX_SLOPE = 1.3
@@ -156,7 +161,9 @@ def audited_run(
     black box lands in ``dump_dir`` (default: the working directory).
     """
     if byzantine not in BYZANTINE_MODES:
-        raise ConfigError(f"byzantine must be one of {BYZANTINE_MODES}, got {byzantine!r}")
+        raise ConfigError(
+            f"byzantine must be one of {tuple(BYZANTINE_MODES)}, got {byzantine!r}"
+        )
     if dump not in ("never", "on-violation", "always"):
         raise ConfigError(f"dump must be never/on-violation/always, got {dump!r}")
     cluster_config = ClusterConfig(
@@ -187,10 +194,7 @@ def audited_run(
         mode=mode,
         client_config=client_config,
     )
-    if byzantine == "equivocator":
-        make_byzantine(cluster, 0, Equivocator(n))  # replica 0 leads view 1
-    elif byzantine == "reply-forger":
-        make_byzantine(cluster, 1, ReplyForger())
+    apply_adversary(cluster, BYZANTINE_MODES[byzantine])
 
     cluster.start()
     cluster.sim.schedule(0.01, pool.start)

@@ -48,8 +48,6 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
     # Blocks travel by reference in the DES, so every replica commits the
     # *same* Block object; memoize its op-key tuple on the pool so the
     # n-replica fan-in builds it once instead of n times per block.
-    if not hasattr(pool, "_op_keys_memo"):
-        pool._op_keys_memo = (None, ())
 
     def keys_of(block: Block) -> tuple:
         memo_block, memo_keys = pool._op_keys_memo
@@ -190,6 +188,8 @@ class OpenLoopClients:
         self._acks: dict[tuple[int, int], int] = {}
         #: Per block with replies still due: [batches due, finished].
         self._replying: dict[Digest, list] = {}
+        #: (block, its op keys) of the last committed block replied to.
+        self._op_keys_memo: tuple[Block | None, tuple] = (None, ())
         self._voters = experiment.cluster.num_replicas
         self._next_seq = 0
         self._carry = 0.0
@@ -342,6 +342,8 @@ class ClosedLoopClients:
         self._acks: dict[tuple[int, int], int] = {}
         #: Per block with replies still due: [batches due, finished].
         self._replying: dict[Digest, list] = {}
+        #: (block, its op keys) of the last committed block replied to.
+        self._op_keys_memo: tuple[Block | None, tuple] = (None, ())
         self._voters = experiment.cluster.num_replicas
         self._payload = b"x" * self.request_size
         self._endpoints: list[Any] = []

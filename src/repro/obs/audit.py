@@ -33,7 +33,7 @@ three commit rules it checks:
   execution dedup makes re-proposed commits benign; true exactly-once
   is judged by the history checker against execution counters);
 * **reply-divergence** — replicas disagree on a committed operation's
-  result digest (a :class:`~repro.harness.failures.ReplyForger`).
+  result digest (a :class:`~repro.adversary.behaviors.ReplyForger`).
 
 Each violation embeds the relevant flight-recorder window of every
 replica involved, so a report is a self-contained forensic artifact.

@@ -31,7 +31,7 @@ from repro.adversary import (
     list_scenarios,
     run_campaign,
 )
-from repro.adversary.behaviors import BEHAVIOR_KINDS
+from repro.adversary.behaviors import BEHAVIOR_KINDS, ComposedStrategy, strategy_rng
 from repro.adversary.campaign import (
     VERDICT_DETECTED,
     VERDICT_MISSED,
@@ -43,7 +43,6 @@ from repro.adversary.campaign import (
 from repro.common.config import ClusterConfig, ExperimentConfig, QuorumConfig
 from repro.common.errors import ConfigError
 from repro.harness.des_runtime import DESCluster
-from repro.harness.failures import ComposedStrategy, strategy_rng
 from repro.harness.workload import ClosedLoopClients
 
 
@@ -135,6 +134,22 @@ class TestBehaviorRegistry:
         config = AdversaryConfig(behaviors=(BehaviorSpec.make("delay", 4),))
         with pytest.raises(ValueError, match="replica 4"):
             apply_adversary(small_cluster(), config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            AdversaryConfig(partitions=(PartitionWindow(1.0, 0.5, (1, 4)),)),
+            AdversaryConfig(crashes=(CrashEvent(replica=9, when=1.0),)),
+        ],
+        ids=["partition", "crash"],
+    )
+    def test_out_of_range_partition_or_crash_is_rejected(self, config):
+        # Rejected at install time: a partition must not shrink silently
+        # to a no-op, and a crash must not fail only once its time comes.
+        cluster = small_cluster()
+        with pytest.raises(ValueError, match=r"replica (4|9)"):
+            apply_adversary(cluster, config)
+        assert cluster.sim.pending == 0
 
     def test_spec_params_are_canonical_and_hashable(self):
         a = BehaviorSpec.make("gray", 1, slow_p=0.3, drop_p=0.1)

@@ -360,7 +360,7 @@ class TestClientDES:
 
     def test_reply_forger_never_certifies(self):
         """Satellite: a forged reply never enters any certificate."""
-        from repro.harness.failures import ReplyForger, make_byzantine
+        from repro.adversary import AdversaryConfig, BehaviorSpec, apply_adversary
 
         cluster = _des_cluster()
         for replica in cluster.replicas:
@@ -376,7 +376,9 @@ class TestClientDES:
                 inner(seq, outcome, latency)
 
             endpoint.session.on_result = capture
-        make_byzantine(cluster, 2, ReplyForger())
+        apply_adversary(
+            cluster, AdversaryConfig(behaviors=(BehaviorSpec.make("reply-forge", 2),))
+        )
         cluster.start()
         cluster.sim.schedule(0.05, lambda: [e.session.submit(b"op") for e in endpoints])
         cluster.run(until=6.0)
@@ -575,7 +577,7 @@ class TestClientAsyncio:
     def test_forger_plus_crashed_leader_exactly_once(self):
         """Acceptance: ReplyForger + crashed leader; every request certifies
         exactly once, state digests agree, zero double-applies."""
-        from repro.harness.failures import ReplyForger
+        from repro.adversary.behaviors import ReplyForger
         from repro.runtime.app import KVStateMachine
         from repro.runtime.cluster import LocalCluster
 

@@ -9,17 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary import AdversaryConfig, BehaviorSpec, apply_adversary, fuzz_schedule
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.harness.des_runtime import DESCluster
-from repro.harness.failures import (
-    Delayer,
-    Equivocator,
-    QCHider,
-    SilentAfter,
-    VoteWithholder,
-    fuzz_schedule,
-    make_byzantine,
-)
 from repro.harness.workload import ClosedLoopClients
 
 
@@ -35,10 +27,15 @@ def build(protocol: str = "marlin", f: int = 1, seed: int = 31, base_timeout: fl
     return cluster, pool
 
 
+def misbehave(cluster, kind: str, replica: int, **params) -> None:
+    config = AdversaryConfig(behaviors=(BehaviorSpec.make(kind, replica, **params),))
+    apply_adversary(cluster, config)
+
+
 class TestStrategies:
     def test_silent_after_behaves_like_crash(self):
         cluster, pool = build()
-        make_byzantine(cluster, 0, SilentAfter(2.0))  # the view-1 leader
+        misbehave(cluster, "silent-after", 0, after=2.0)  # the view-1 leader
         cluster.run(until=12.0)
         cluster.assert_safety()
         post = [when for rid, _, _, when in cluster.auditor.commits if when > 3.0 and rid != 0]
@@ -46,20 +43,20 @@ class TestStrategies:
 
     def test_vote_withholder_cannot_stop_quorum(self):
         cluster, pool = build()
-        make_byzantine(cluster, 3, VoteWithholder())  # a non-leader
+        misbehave(cluster, "withhold-votes", 3)  # a non-leader
         cluster.run(until=8.0)
         cluster.assert_safety()
         assert min(r.ledger.committed_height for r in cluster.replicas[:3]) > 3
 
     def test_equivocating_leader_never_splits_commits(self):
         cluster, pool = build()
-        make_byzantine(cluster, 0, Equivocator(cluster.experiment.cluster.num_replicas))
+        misbehave(cluster, "equivocate", 0)
         cluster.run(until=12.0)
         cluster.assert_safety()  # the whole point: no conflicting commits
 
     def test_delayer_slows_but_does_not_break(self):
         cluster, pool = build(base_timeout=2.0)
-        make_byzantine(cluster, 2, Delayer(cluster, 0.2))
+        misbehave(cluster, "delay", 2, delay=0.2)
         cluster.run(until=10.0)
         cluster.assert_safety()
         assert min(r.ledger.committed_height for r in cluster.replicas) > 1
@@ -68,10 +65,7 @@ class TestStrategies:
         """Fig. 2's p4: hide knowledge in VIEW-CHANGE; recovery must still
         succeed (Marlin's vote-to-unlock does not trust any single VC)."""
         cluster, pool = build()
-        from repro.consensus.messages import Justify
-
-        hider = QCHider(Justify(cluster.replicas[3].genesis_qc))
-        make_byzantine(cluster, 3, hider)
+        misbehave(cluster, "qc-hide", 3)
         cluster.crash_at(0, 2.0)  # force a view change with the hider active
         cluster.run(until=14.0)
         cluster.assert_safety()

@@ -12,7 +12,6 @@ from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
 from repro.consensus.rank import (
     Rank,
     block_rank_higher,
-    compare_block_rank,
     compare_qc_rank,
     highest_block,
     highest_qcs,
@@ -113,10 +112,8 @@ class TestBlockRank:
         # an older view) never outrank each other by height.
         a = summary(2, 5, jiv=False)
         b = summary(2, 4, jiv=False)
-        assert compare_block_rank(a, b) is Rank.EQUAL
-
-    def test_none_block_lowest(self):
-        assert compare_block_rank(None, summary(1, 1)) is Rank.LOWER
+        assert not block_rank_higher(a, b)
+        assert not block_rank_higher(b, a)
 
     def test_highest_block(self):
         blocks = [summary(1, 5), summary(2, 1), summary(2, 3)]
