@@ -292,8 +292,13 @@ class SafetyChecker:
         """Judge a finished DES run: histories + auditor + progress.
 
         Histories and executions are read straight from each replica's
-        ledger (learners included).  If ``observability`` carries an
-        online auditor, its safety-severity findings merge into the
+        ledger (learners included).  The operations of blocks every
+        replica is well past may have been released; each replica's walk
+        then starts from the ledger's
+        :class:`~repro.consensus.ledger.ExecutionRecord` of them — their
+        keys and distinct weight, folded from the blocks themselves — and
+        walks the retained blocks after it.  If ``observability`` carries
+        an online auditor, its safety-severity findings merge into the
         violations (with their flight-recorder evidence windows) and its
         byzantine/protocol findings become observations.
         """
@@ -304,15 +309,18 @@ class SafetyChecker:
             entries: list[HistoryEntry] = []
             executed: list[tuple[int, int]] = []
             seen: set[tuple[int, int]] = set()
-            weight = 0
-            for digest in replica.ledger.committed_digests():
+            released = replica.ledger.released
+            weight = released.weight
+            for position, digest in enumerate(replica.ledger.committed_digests()):
                 block = replica.tree.get(digest)
                 if block is None or block.height == 0:
                     continue  # genesis is committed by fiat, not by the run
                 entries.append((block.height, digest, replica.tree.parent_digest(block)))
+                if position < released.length:
+                    continue  # executed as part of the record
                 for op in block.operations:
                     key = op.key()
-                    if key in seen:
+                    if key in seen or key in released.keys:
                         # A view change re-proposed an in-flight op and the
                         # abandoned block later committed too; the ledger
                         # executes the key once, so this is not a duplicate

@@ -186,9 +186,13 @@ def _encode_into(
 def decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`encode`.
 
-    Raises :class:`EncodingError` on malformed or trailing input.
+    Raises :class:`EncodingError` on malformed or trailing input,
+    nesting too deep to decode included.
     """
-    value, offset = _decode_from(data, 0)
+    try:
+        value, offset = _decode_from(data, 0)
+    except RecursionError as exc:
+        raise EncodingError("value nested too deeply") from exc
     if offset != len(data):
         raise EncodingError(f"trailing bytes after value ({len(data) - offset} left)")
     return value

@@ -217,6 +217,18 @@ class Block:
     def wire_size(self) -> int:
         return self.header_size + self.payload_size
 
+    def release_payload(self) -> None:
+        """Drop the operations once nothing will read them again.
+
+        The header stays: the digest and the payload-derived sizes are
+        cached first, so sync, wire sizing, ``extends`` and the commit
+        paths answer for a released block as they did before.  Only a
+        group's shared :class:`~repro.consensus.ledger.CommitLog`
+        releases, once every ledger of the group is past the block.
+        """
+        self.digest, self.num_ops, self.wire_size  # cached before the payload goes
+        object.__setattr__(self, "operations", ())
+
     def __repr__(self) -> str:
         kind = "virtual" if self.is_virtual else "block"
         return (
@@ -315,6 +327,13 @@ class KeySet:
             run[1] = seq
             append(op)
         return new
+
+    def copy(self) -> "KeySet":
+        """An independent set holding the same keys."""
+        other = KeySet()
+        other._runs = {client: run[:] for client, run in self._runs.items()}
+        other._sparse = set(self._sparse)
+        return other
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         run = self._runs.get(key[0])

@@ -92,7 +92,7 @@ class PaperCostModel(ZeroCostModel):
         for the ablation that puts them there — a thread-pool verify over
         ``cores`` cores).
         """
-        if not block.operations:
+        if not block.payload_size:
             return 0.0
         cost = self.machine.hash_cost_per_byte * block.payload_size
         if self.verify_client_sigs:

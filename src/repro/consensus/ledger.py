@@ -17,16 +17,57 @@ the chain's exactly-once bookkeeping is kept once per chain, in a
 ledger owns a private log; a simulated consensus group hands one log to
 all of its ledgers (:meth:`Ledger.share_log`), so a block's new
 operations are worked out once per group instead of once per replica.
+A shared log also bounds the group's memory: once every ledger is past
+an entry, the block's operations are folded into an
+:class:`ExecutionRecord` and released (see :class:`CommitLog`).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable
 
 from repro.common.errors import SafetyViolation
 from repro.consensus.block import Block, KeySet, Operation
 from repro.consensus.blocktree import BlockTree
 from repro.crypto.hashing import Digest
+
+
+_weight_of = attrgetter("weight")
+
+RELEASE_MARGIN = 16
+"""How far every ledger of a shared log must be past an entry before the
+entry's operations are released.  Sixteen blocks is well past a chained
+commit rule's depth (three blocks for chained HotStuff), and past the
+≤ 10 blocks a replica commits before the leader crash pinned by
+``tests/test_table1_golden.py``, which reads every committed payload
+after the run."""
+
+
+class ExecutionRecord:
+    """What the released prefix of a log executed.
+
+    The first ``length`` entries of a log (the root included) are
+    released: their blocks' operations are gone, and what they executed
+    is kept here — ``keys``, every ``(client, sequence)`` key of those
+    blocks, and ``weight``, the total weight of the distinct keys at
+    their first occurrence.  It is folded from each block's own
+    ``operations`` at release, not from the log's recorded answers, so
+    :meth:`~repro.adversary.checker.SafetyChecker.check_cluster` can
+    start an independent walk of a replica's history from it.
+    """
+
+    __slots__ = ("length", "keys", "weight")
+
+    def __init__(self) -> None:
+        self.length = 1
+        self.keys = KeySet()
+        self.weight = 0
+
+    def fold(self, block: Block) -> None:
+        """Add the next released block's operations."""
+        self.weight += sum(map(_weight_of, self.keys.add_ops(block.operations)))
+        self.length += 1
 
 
 class CommitLog:
@@ -44,9 +85,23 @@ class CommitLog:
     appending.  The recorded answer is exact for every ledger that
     reaches it, because a digest fixes the block's operations and equal
     prefixes leave equal key sets behind.
+
+    Release: ``members`` ledgers share the log, and ``passes[i]`` counts
+    those that have begun a commit with entry ``i`` at least
+    :data:`RELEASE_MARGIN` entries below their head.  When the count
+    reaches ``members``, no ledger will read entry ``i`` again, so
+    :meth:`_release` folds the block into ``released`` and drops both
+    ``new_ops[i]`` and the block's payload; the header stays in every
+    tree.  Entries complete in order, one count per ledger advance.  A
+    ledger leaving the log (a fork, a snapshot, a restore) ends
+    releasing for good, and a ledger that stops committing (a crash)
+    holds back every later entry.
     """
 
-    __slots__ = ("digests", "new_weights", "new_ops", "index", "keys")
+    __slots__ = (
+        "digests", "new_weights", "new_ops", "index", "keys",
+        "members", "passes", "releasing", "released",
+    )
 
     def __init__(self, root: Digest) -> None:
         self.digests: list[Digest] = [root]
@@ -54,6 +109,10 @@ class CommitLog:
         self.new_ops: list[tuple[Operation, ...]] = [()]
         self.index: dict[Digest, int] = {root: 0}
         self.keys = KeySet()
+        self.members = 0
+        self.passes: list[int] = [0]
+        self.releasing = True
+        self.released = ExecutionRecord()
 
     def append(self, block: Block) -> None:
         """Record ``block`` at the tip: which of its operations are new.
@@ -74,20 +133,34 @@ class CommitLog:
         self.digests.append(block.digest)
         self.new_weights.append(weight)
         self.new_ops.append(new)
+        self.passes.append(0)
+
+    def _release(self, position: int, block: Block) -> None:
+        """Fold entry ``position`` into the record and drop its operations."""
+        assert position == self.released.length, "entries are released in order"
+        self.released.fold(block)
+        self.new_ops[position] = ()
+        block.release_payload()
 
     def prefix(self, length: int) -> "CommitLog":
         """A private log of the first ``length`` entries.
 
-        Its key set is replayed from the recorded new operations, which
-        adds exactly the keys the prefix executed.
+        It shares this log's record of the released entries, and its key
+        set starts from the record's and replays the recorded new
+        operations after it, which adds exactly the keys the prefix
+        executed.  A private log releases nothing.
         """
+        assert length >= self.released.length, "a prefix keeps every released entry"
         log = CommitLog(self.digests[0])
         log.digests = self.digests[:length]
         log.new_weights = self.new_weights[:length]
         log.new_ops = self.new_ops[:length]
         log.index = {digest: i for i, digest in enumerate(log.digests)}
+        log.passes = [0] * length
+        log.released = self.released
+        log.keys = self.released.keys.copy()
         add_ops = log.keys.add_ops
-        for ops in log.new_ops:
+        for ops in log.new_ops[self.released.length :]:
             add_ops(ops)
         return log
 
@@ -116,6 +189,8 @@ class Ledger:
         self._log = CommitLog(tree.genesis.digest)
         self._shared = False
         self._length = 1
+        #: Entries of a shared log this ledger has counted itself past.
+        self._passed = 1
         self._ops_committed = 0
 
     def set_executor(self, on_execute: Callable[[Block, Operation], None]) -> None:
@@ -126,19 +201,47 @@ class Ledger:
         """Follow ``log``, the committed chain shared by a consensus group.
 
         Call before this ledger commits anything; ``log`` must grow from
-        the same root.  On-execute callbacks and commit listeners still
-        run per ledger, for the recorded new operations.
+        the same root and have released nothing.  On-execute callbacks
+        and commit listeners still run per ledger, for the recorded new
+        operations.
         """
-        if self._length != 1 or log.digests[0] != self._log.digests[0]:
+        if (
+            self._length != 1
+            or log.digests[0] != self._log.digests[0]
+            or log.released.length != 1
+        ):
             raise ValueError("a shared log must be joined at its root, before any commit")
         self._log = log
         self._shared = True
+        log.members += 1
+
+    def _leave(self, log: CommitLog) -> CommitLog:
+        """Move to the private ``log``; a shared log stops releasing."""
+        if self._shared:
+            self._log.releasing = False
+            self._shared = False
+        self._log = log
+        return log
 
     def _detach(self) -> CommitLog:
         """Move to a private copy of this ledger's prefix of the log."""
-        self._log = self._log.prefix(self._length)
-        self._shared = False
-        return self._log
+        return self._leave(self._log.prefix(self._length))
+
+    def _pass(self, log: CommitLog) -> None:
+        """Count this ledger past every entry :data:`RELEASE_MARGIN` below its head.
+
+        Runs as a commit begins, so the previous commit's blocks have been
+        read by every caller before they can be released.
+        """
+        frontier = self._length - RELEASE_MARGIN
+        passed = self._passed
+        passes = log.passes
+        while passed < frontier:
+            passes[passed] += 1
+            if passes[passed] == log.members:
+                log._release(passed, self._tree.get(log.digests[passed]))
+            passed += 1
+        self._passed = passed
 
     @property
     def committed_head(self) -> Block:
@@ -158,6 +261,11 @@ class Ledger:
     @property
     def ops_committed(self) -> int:
         return self._ops_committed
+
+    @property
+    def released(self) -> ExecutionRecord:
+        """What the released leading entries of the committed branch executed."""
+        return self._log.released
 
     def is_committed(self, digest: Digest) -> bool:
         position = self._log.index.get(digest)
@@ -211,8 +319,7 @@ class Ledger:
                 f"snapshot head {head!r} is below the committed head"
             )
         self._tree.add(head)
-        self._log = CommitLog(head.digest)
-        self._shared = False
+        self._leave(CommitLog(head.digest))
         self._length = 1
 
     def commit(self, block: Block) -> list[Block]:
@@ -235,6 +342,8 @@ class Ledger:
             raise SafetyViolation(
                 f"block {block!r} conflicts with committed head {self.committed_head!r}"
             )
+        if self._shared and log.releasing:
+            self._pass(log)
         on_execute = self._on_execute
         on_commit_block = self._on_commit_block
         for node in path:

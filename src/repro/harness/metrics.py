@@ -9,22 +9,107 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter, mul
+from itertools import accumulate, chain, groupby, repeat
+from operator import mul
+from typing import Iterable, Iterator
 
 from repro.common.utils import mean, percentile
 
-_latency_of = itemgetter(1)
-_weight_of = itemgetter(2)
+
+class LatencySamples:
+    """``(when, latency, weight)`` samples in insertion order, run-length coded.
+
+    Consecutive equal samples are one run: four parallel arrays hold each
+    run's ``when``, ``latency``, ``weight`` and sample count.  A closed-
+    loop hub pool certifies a client window at one instant, and clients
+    released together share a submit time, so a whole batch is usually
+    one run; an open-loop pool's Poisson arrivals give one run per sample,
+    still a quarter of a tuple's size.  Adjacent runs are always merged,
+    so equal sample sequences have equal arrays and ``==`` compares them.
+
+    The list-like surface is what callers use: iteration yields the
+    triples in insertion order, and :meth:`append`, :meth:`extend`,
+    :meth:`clear` and ``len`` behave as on a list of triples.
+    """
+
+    __slots__ = ("when", "latency", "weight", "count", "_len")
+
+    def __init__(self) -> None:
+        self.when = array("d")
+        self.latency = array("d")
+        self.weight = array("q")
+        self.count = array("q")
+        self._len = 0
+
+    def push(self, when: float, latency: float, weight: int, count: int = 1) -> None:
+        """Append ``count`` copies of one sample."""
+        if (
+            self._len
+            and self.latency[-1] == latency
+            and self.when[-1] == when
+            and self.weight[-1] == weight
+        ):
+            self.count[-1] += count
+        else:
+            self.when.append(when)
+            self.latency.append(latency)
+            self.weight.append(weight)
+            self.count.append(count)
+        self._len += count
+
+    def append_batch(self, when: float, weight: int, latencies: Iterable[float]) -> None:
+        """Append one sample per latency, all at ``when`` with ``weight``."""
+        push = self.push
+        for latency, run in groupby(latencies):
+            push(when, latency, weight, len(list(run)))
+
+    def append(self, sample: tuple[float, float, int]) -> None:
+        self.push(*sample)
+
+    def extend(self, samples: Iterable[tuple[float, float, int]]) -> None:
+        """Append triples, or every run of another store."""
+        push = self.push
+        if isinstance(samples, LatencySamples):
+            for run in zip(samples.when, samples.latency, samples.weight, samples.count):
+                push(*run)
+        else:
+            for when, latency, weight in samples:
+                push(when, latency, weight)
+
+    def clear(self) -> None:
+        del self.when[:], self.latency[:], self.weight[:], self.count[:]
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[tuple[float, float, int]]:
+        return chain.from_iterable(
+            map(repeat, zip(self.when, self.latency, self.weight), self.count)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LatencySamples):
+            return NotImplemented
+        return (
+            self.count == other.count
+            and self.latency == other.latency
+            and self.when == other.when
+            and self.weight == other.weight
+        )
+
+    def __repr__(self) -> str:
+        return f"LatencySamples({self._len} samples in {len(self.count)} runs)"
 
 
 @dataclass
 class _SortedSamples:
-    """One readout's view of a recorder: latencies in ascending order with
-    the running weight total at each, plus the weighted count and mean."""
+    """One readout's view of a recorder: distinct runs' latencies in
+    ascending order with the running weight total at each, plus the
+    weighted count and mean."""
 
-    #: The sample list this view was built from, and its length then.
-    source: list
+    #: The sample store this view was built from, and its length then.
+    source: LatencySamples
     length: int
     latencies: array
     cumulative: array
@@ -34,39 +119,45 @@ class _SortedSamples:
 
 @dataclass
 class LatencyRecorder:
-    """Collects (timestamp, latency, weight) samples.
+    """Collects (timestamp, latency, weight) samples in a :class:`LatencySamples`.
 
-    Readouts sort the samples once and answer every percentile from that
-    by bisection.  The sorted view is keyed on the identity and length of
-    ``samples``, so :meth:`record`, :meth:`reset` and callers extending
-    ``samples`` directly all invalidate it.
+    Readouts sort the sample runs once and answer every percentile from
+    that by bisection.  The sorted view is keyed on the identity and
+    length of ``samples``, so :meth:`record`, :meth:`reset` and callers
+    extending ``samples`` directly all invalidate it.
     """
 
     window_start: float = 0.0
     window_end: float = float("inf")
-    samples: list[tuple[float, float, int]] = field(default_factory=list)
+    samples: LatencySamples = field(default_factory=LatencySamples)
     _sorted: _SortedSamples | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def record(self, when: float, latency: float, weight: int = 1) -> None:
         if self.window_start <= when <= self.window_end:
-            self.samples.append((when, latency, weight))
+            self.samples.push(when, latency, weight)
 
     def _view(self) -> _SortedSamples:
         samples = self.samples
         view = self._sorted
         if view is not None and view.source is samples and view.length == len(samples):
             return view
-        ordered = sorted(samples, key=_latency_of)
-        cumulative = array("q", accumulate(map(_weight_of, ordered)))
+        # Ties between runs of different weights may sort either way: the
+        # rank search returns a latency, which tied runs share.
+        latency = samples.latency
+        ordered = sorted(range(len(latency)), key=latency.__getitem__)
+        run_weights = list(map(mul, samples.weight, samples.count))
+        cumulative = array("q", accumulate(map(run_weights.__getitem__, ordered)))
         count = cumulative[-1] if cumulative else 0
-        # Summed in insertion order, as the float result depends on it.
-        total = sum(map(mul, map(_latency_of, samples), map(_weight_of, samples)))
+        # Summed per sample in insertion order, as the float result depends on it.
+        total = sum(
+            chain.from_iterable(map(repeat, map(mul, latency, samples.weight), samples.count))
+        )
         view = self._sorted = _SortedSamples(
             source=samples,
             length=len(samples),
-            latencies=array("d", map(_latency_of, ordered)),
+            latencies=array("d", map(latency.__getitem__, ordered)),
             cumulative=cumulative,
             count=count,
             mean=total / count if count else 0.0,
@@ -124,7 +215,7 @@ class LatencyRecorder:
         }
 
     def reset(self) -> None:
-        # Same list, and refilling may bring it back to the cached length.
+        # Same store, and refilling may bring it back to the cached length.
         self.samples.clear()
         self._sorted = None
 

@@ -82,9 +82,10 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
     """Fold one replica's ReplyBatch into the pool's ``f + 1`` acks.
 
     Returns the op keys this batch certified (shared by the open- and
-    closed-loop generators).  Their latency samples are appended here, and
-    their throughput is recorded as one weighted count: every op of a
-    batch certifies at the same instant, so the window test runs once.
+    closed-loop generators).  Every op of a batch certifies at the same
+    instant and weight, so the window test runs once, their latencies go
+    to the sample store as one batch, and their throughput is recorded
+    as one weighted count.
 
     A block is *finished* once a walk of one of its batches leaves none of
     its keys outstanding; the block's later batches return ``[]`` before
@@ -112,9 +113,8 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
     weight = pool.token_weight
     submit_time = pool._submit_time
     acks = pool._acks
-    latency = pool.latency
-    samples = latency.samples if latency.window_start <= now <= latency.window_end else None
     certified: list[tuple[int, int]] = []
+    latencies: list[float] = []
     outstanding = False
     for key in batch.op_keys:
         submitted = submit_time.get(key)
@@ -127,12 +127,14 @@ def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
             continue
         del submit_time[key]
         acks.pop(key, None)
-        if samples is not None:
-            samples.append((now, now - submitted, weight))
+        latencies.append(now - submitted)
         certified.append(key)
     if not outstanding:
         entry[1] = True
     if certified:
+        latency = pool.latency
+        if latency.window_start <= now <= latency.window_end:
+            latency.samples.append_batch(now, weight, latencies)
         pool.throughput.record(now, len(certified) * weight)
     return certified
 

@@ -455,9 +455,20 @@ def encode_message(payload: Any) -> bytes:
 
 
 def decode_message(data: bytes) -> Any:
-    """Inverse of :func:`encode_message`."""
-    tag, body = decode(data)
-    dec = _DECODERS.get(tag)
-    if dec is None:
-        raise EncodingError(f"unknown message tag {tag!r}")
-    return dec(body)
+    """Inverse of :func:`encode_message`.
+
+    Raises :class:`EncodingError`, and nothing else, for bytes that are
+    not an encoded message: a field that fails its own type's checks (a
+    negative block height, a string where an int belongs) is chained as
+    the cause.
+    """
+    try:
+        tag, body = decode(data)
+        dec = _DECODERS.get(tag)
+        if dec is None:
+            raise EncodingError(f"unknown message tag {tag!r}")
+        return dec(body)
+    except EncodingError:
+        raise
+    except Exception as exc:
+        raise EncodingError(f"malformed message: {exc}") from exc

@@ -37,7 +37,7 @@ from repro.consensus.messages import ClientRequest, ClientRequestBatch
 from repro.consensus.pipeline import PipelineConfig
 from repro.des.simulator import Simulator
 from repro.harness.des_runtime import DESCluster
-from repro.harness.metrics import LatencyRecorder
+from repro.harness.metrics import LatencyRecorder, LatencySamples
 from repro.network.simnet import shard_net_rng
 from repro.obs.complexity import ComplexityObservatory
 from repro.obs.observer import RunObservability
@@ -191,7 +191,7 @@ class GroupResult:
     misrouted_ops: int
     num_clients: int
     pool_ops: int
-    latency_samples: list[tuple[float, float, int]]
+    latency_samples: LatencySamples
     audit_report: dict[str, Any] | None = None
     registry: Any | None = field(default=None, repr=False)
 
@@ -217,7 +217,7 @@ def read_group(group: ShardGroup, pool: Any | None) -> GroupResult:
         misrouted_ops=group.misrouted_ops,
         num_clients=pool.num_clients if pool is not None else 0,
         pool_ops=pool.throughput.ops if pool is not None else 0,
-        latency_samples=list(pool.latency.samples) if pool is not None else [],
+        latency_samples=pool.latency.samples if pool is not None else LatencySamples(),
         audit_report=(
             observability.audit_report()
             if observability is not None and observability.auditor is not None
@@ -237,7 +237,7 @@ def merged_latency(
     """All groups' weighted samples in one recorder, shard order."""
     merged = LatencyRecorder(window_start=window_start)
     for result in results:
-        merged.samples.extend(tuple(sample) for sample in result.latency_samples)
+        merged.samples.extend(result.latency_samples)
     return merged
 
 

@@ -365,3 +365,55 @@ def test_property_block_roundtrip(ops, view):
     decoded = roundtrip(msg)
     assert decoded.block == block
     assert decoded.block.digest == block.digest
+
+
+def _golden_frames() -> list[bytes]:
+    return [
+        encode_message(msg)
+        for msg in (
+            ClientRequestBatch(
+                operations=(Operation(client_id=1, sequence=2, payload=b"z", weight=5),)
+            ),
+            SyncRequest(digests=(digest_of("a"), digest_of("b"))),
+            SyncResponse(
+                blocks=(sample_block(),),
+                resolutions=((digest_of("v"), digest_of("p")),),
+            ),
+            ReplyBatch(
+                replica=2, block_digest=digest_of("b"), op_keys=((1, 2), (3, 4)),
+                num_ops=10, reply_size=150,
+            ),
+        )
+    ]
+
+
+@st.composite
+def _mutated_frames(draw) -> bytes:
+    """A golden frame with bytes overwritten, inserted or deleted, or cut short."""
+    frame = bytearray(draw(st.sampled_from(_golden_frames())))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(frame) - 1))
+        edit = draw(st.sampled_from(["overwrite", "insert", "delete", "truncate"]))
+        if edit == "overwrite":
+            frame[at] = draw(st.integers(0, 255))
+        elif edit == "insert":
+            frame[at:at] = draw(st.binary(min_size=1, max_size=4))
+        elif edit == "delete" and len(frame) > 1:
+            del frame[at]
+        elif edit == "truncate":
+            del frame[at:]
+        if not frame:
+            break
+    return bytes(frame)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.one_of(st.binary(max_size=256), _mutated_frames()))
+def test_property_decoders_raise_only_encoding_error(data):
+    from repro.common.encoding import decode
+
+    for decoder in (decode, decode_message):
+        try:
+            decoder(data)
+        except EncodingError:
+            pass
