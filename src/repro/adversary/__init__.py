@@ -10,7 +10,7 @@ declarative adversary model:
   a live DES cluster with
   :func:`~repro.adversary.behaviors.apply_adversary`;
 * :mod:`repro.adversary.fuzz` — seeded random crashes and partitions,
-  drawn as an ``AdversaryConfig`` per run;
+  drawn as an ``AdversaryConfig`` per run and judged by the checker;
 * :mod:`repro.adversary.scenarios` — a named library of attack scenarios
   (equivocating leaders, gray failures, partitions, churn, and a
   Fast-HotStuff-style forking attack) that plugs straight into
@@ -19,10 +19,12 @@ declarative adversary model:
   verifies agreement, prefix consistency, exactly-once execution and
   reply linearizability from committed histories and client-observed
   replies, independent of any protocol's own assertions;
-* :mod:`repro.adversary.campaign` — a campaign runner that executes a
-  scenario × protocol × seed grid across worker processes and emits a
-  machine-readable verdict matrix (``safe`` / ``violation-detected`` /
-  ``violation-missed``).
+* :mod:`repro.adversary.campaign` — the one adversarial run path
+  (``build_run``, then ``run_and_judge`` with the checker as judge) that
+  campaign cells, fuzz runs and audited runs share, and a campaign runner
+  that executes a scenario × protocol × seed grid across worker
+  processes and emits a machine-readable verdict matrix (``safe`` /
+  ``violation-detected`` / ``violation-missed``).
 """
 
 from repro.adversary.behaviors import (

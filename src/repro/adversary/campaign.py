@@ -1,10 +1,12 @@
 """Adversarial campaign runner: scenario × protocol × seed grids.
 
+Every adversarial DES run (campaign cells, fuzz runs and audited runs)
+is built by :func:`build_run` and judged by :func:`run_and_judge`, with
+the :class:`~repro.adversary.checker.SafetyChecker` as its one judge.
+
 A campaign runs every cell of a grid — one adversary scenario against
-one protocol under one seed — through the DES with full audit
-observability, judges each run with the
-:class:`~repro.adversary.checker.SafetyChecker`, and reduces the grid to
-a machine-readable verdict matrix:
+one protocol under one seed — on that path and reduces the grid to a
+machine-readable verdict matrix:
 
 * ``safe`` — no violation found, none expected;
 * ``violation-detected`` — the scenario broke the protocol it was
@@ -24,9 +26,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.adversary.behaviors import AdversaryConfig, apply_adversary
+from repro.adversary.checker import SafetyChecker, SafetyReport
+from repro.common.config import ClusterConfig, ExperimentConfig, QuorumConfig
 from repro.common.encoding import encode
+
+if TYPE_CHECKING:
+    from repro.client.config import ClientConfig
+    from repro.harness.des_runtime import DESCluster
 
 #: The grid a campaign defaults to: every safe protocol plus the
 #: deliberately unsafe two-phase control the forking attack must catch.
@@ -39,30 +48,77 @@ VERDICT_MISSED = "violation-missed"
 VERDICT_UNEXPECTED = "unexpected-violation"
 
 
+def build_run(
+    adversary: AdversaryConfig,
+    protocol: str,
+    experiment: ExperimentConfig,
+    crypto: str,
+    clients: int = 24,
+    warmup: float = 0.0,
+    client_config: ClientConfig | None = None,
+    flight_capacity: int = 4096,
+) -> DESCluster:
+    """A cluster with flight + audit observability and ``adversary`` installed.
+
+    Its closed-loop pool sends to every replica from t = 0.01 s, over the
+    real client protocol when ``client_config`` is given (only it carries
+    per-operation result digests), else through the hub.  A caller may
+    attach further observers before :func:`run_and_judge` starts it
+    (``audited_run`` taps the network for its complexity snapshot).
+    """
+    from repro.harness.des_runtime import DESCluster
+    from repro.harness.workload import ClosedLoopClients
+    from repro.obs.observer import RunObservability
+
+    observability = RunObservability(
+        trace=False, flight=True, audit=True, metrics=False,
+        flight_capacity=flight_capacity,
+    )
+    cluster = DESCluster(
+        experiment, protocol=protocol, crypto_mode=crypto, observability=observability
+    )
+    apply_adversary(cluster, adversary)
+    pool = ClosedLoopClients(
+        cluster,
+        num_clients=clients,
+        token_weight=1,
+        target="all",
+        warmup=warmup,
+        mode="hub" if client_config is None else "real",
+        client_config=client_config,
+    )
+    cluster.sim.schedule(0.01, pool.start)
+    return cluster
+
+
+def run_and_judge(
+    cluster: DESCluster, sim_time: float, check_progress: bool = False
+) -> SafetyReport:
+    """Run ``cluster`` until ``sim_time``; the checker's report on the run."""
+    cluster.start()
+    cluster.run(until=sim_time)
+    checker = SafetyChecker(num_replicas=cluster.experiment.cluster.num_replicas)
+    return checker.check_cluster(
+        cluster, cluster.observability, check_progress=check_progress, end_time=sim_time
+    )
+
+
 def _eval_cell(task: dict[str, Any]) -> dict[str, Any]:
     """Worker entry point: run one campaign cell, return plain data.
 
     Top-level and import-light so the ``spawn`` pool can pickle it by
-    reference.  The cell runs with flight + audit observability (no
-    tracer, no metrics — the blackbox shape), applies the scenario's
-    adversary to a freshly built cluster, drives a closed-loop workload,
-    and returns the checker's full report plus a commit-trace hash for
-    the cross-``jobs`` byte-identity guarantee.
+    reference.  The cell is one :func:`build_run` of the scenario's
+    adversary, judged by :func:`run_and_judge`; it returns the checker's
+    full report plus a commit-trace hash for the cross-``jobs``
+    byte-identity guarantee.
     """
-    from repro.adversary.behaviors import apply_adversary
-    from repro.adversary.checker import SafetyChecker
     from repro.adversary.scenarios import get_scenario
-    from repro.common.config import ClusterConfig, ExperimentConfig, QuorumConfig
-    from repro.harness.des_runtime import DESCluster
-    from repro.harness.workload import ClosedLoopClients
-    from repro.obs.observer import RunObservability
 
     scenario = get_scenario(task["scenario"])
     protocol = task["protocol"]
     seed = int(task["seed"])
     n = int(task.get("n", 4))
     sim_time = float(task.get("sim_time", 12.0))
-    crypto = task.get("crypto", "null")
     learners = int(task.get("learners", 0))
 
     if n < scenario.min_replicas:
@@ -80,25 +136,8 @@ def _eval_cell(task: dict[str, Any]) -> dict[str, Any]:
         ),
         seed=seed,
     )
-    observability = RunObservability(
-        trace=False, flight=True, audit=True, metrics=False
-    )
-    cluster = DESCluster(
-        experiment, protocol=protocol, crypto_mode=crypto, observability=observability
-    )
-    apply_adversary(cluster, scenario.adversary, seed=seed)
-    pool = ClosedLoopClients(cluster, num_clients=24, token_weight=1, target="all")
-    cluster.start()
-    cluster.sim.schedule(0.01, pool.start)
-    cluster.run(until=sim_time)
-
-    checker = SafetyChecker(num_replicas=n)
-    report = checker.check_cluster(
-        cluster,
-        observability,
-        check_progress=scenario.check_progress,
-        end_time=sim_time,
-    )
+    cluster = build_run(scenario.adversary, protocol, experiment, task.get("crypto", "null"))
+    report = run_and_judge(cluster, sim_time, check_progress=scenario.check_progress)
     trace_sha = hashlib.sha256(encode(cluster.commit_trace())).hexdigest()
     return {
         "scenario": scenario.name,

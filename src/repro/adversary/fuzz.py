@@ -2,10 +2,10 @@
 
 :func:`fuzz_schedule` draws up to ``f`` crashes and up to three
 transient partitions from one seeded RNG, declares them as an
-:class:`~repro.adversary.behaviors.AdversaryConfig`, installs it with
-:func:`~repro.adversary.behaviors.apply_adversary` and runs a closed-loop
-workload.  The commit auditor records every commit as it happens and
-safety is asserted once, when the run ends; progress is not asserted
+:class:`~repro.adversary.behaviors.AdversaryConfig` and runs it on the
+path campaign cells take (:func:`~repro.adversary.campaign.build_run`).
+The :class:`~repro.adversary.checker.SafetyChecker` judges the finished
+run and its verdict is ``FuzzReport.safety_ok``; progress is not judged
 here — the :class:`FuzzReport` carries what happened so callers decide
 which liveness expectations the drawn adversity permits.
 """
@@ -15,12 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.adversary.behaviors import (
-    AdversaryConfig,
-    CrashEvent,
-    PartitionWindow,
-    apply_adversary,
-)
+from repro.adversary.behaviors import AdversaryConfig, CrashEvent, PartitionWindow
+from repro.adversary.campaign import build_run, run_and_judge
 from repro.common.config import ClusterConfig, ExperimentConfig
 
 
@@ -58,15 +54,13 @@ def fuzz_schedule(
     sim_time: float = 30.0,
     crypto_mode: str = "null",
 ) -> FuzzReport:
-    """Run one randomly-adversarial schedule and audit safety.
+    """Run one randomly-adversarial schedule and judge its safety.
 
     The adversary (seeded RNG) may crash up to ``f`` replicas and
-    partition and heal the network; safety is asserted once the run
-    ends (:meth:`DESCluster.assert_safety` raises on its first finding).
+    partition and heal the network; ``safety_ok`` is the
+    :class:`~repro.adversary.checker.SafetyChecker`'s verdict on the
+    finished run, progress excluded.
     """
-    from repro.harness.des_runtime import DESCluster
-    from repro.harness.workload import ClosedLoopClients
-
     experiment = ExperimentConfig(
         cluster=ClusterConfig.for_f(f, batch_size=500, base_timeout=0.5),
         seed=seed,
@@ -74,13 +68,8 @@ def fuzz_schedule(
     adversary = _draw_adversary(
         random.Random(seed), experiment.cluster.num_replicas, f, sim_time
     )
-    cluster = DESCluster(experiment, protocol=protocol, crypto_mode=crypto_mode)
-    pool = ClosedLoopClients(cluster, num_clients=24, token_weight=1, target="all")
-    apply_adversary(cluster, adversary)
-    cluster.start()
-    cluster.sim.schedule(0.01, pool.start)
-    cluster.run(until=sim_time)
-    cluster.assert_safety()
+    cluster = build_run(adversary, protocol, experiment, crypto_mode)
+    safety = run_and_judge(cluster, sim_time)
     return FuzzReport(
         seed=seed,
         protocol=protocol,
@@ -92,5 +81,5 @@ def fuzz_schedule(
         committed_heights=cluster.committed_heights(),
         max_view=max(r.cview for r in cluster.replicas),
         ops_committed=cluster.total_ops_committed(),
-        safety_ok=True,
+        safety_ok=safety.ok,
     )

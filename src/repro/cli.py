@@ -608,6 +608,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> None:
     print(f"  ops committed    : {report.ops_committed}")
     print(f"  max view         : {report.max_view}")
     print(f"  safety           : {'OK' if report.safety_ok else 'VIOLATED'}")
+    if not report.safety_ok:
+        raise SystemExit(1)
 
 
 def build_parser() -> argparse.ArgumentParser:

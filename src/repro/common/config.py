@@ -128,10 +128,6 @@ class ClusterConfig:
         return self.num_replicas + self.learners
 
     @property
-    def replica_ids(self) -> list[ReplicaId]:
-        return [ReplicaId(i) for i in range(self.num_replicas)]
-
-    @property
     def learner_ids(self) -> list[ReplicaId]:
         return [ReplicaId(i) for i in range(self.num_replicas, self.total_replicas)]
 

@@ -266,12 +266,6 @@ class ReplicaBase(ABC):
         else:
             self.pool.add(op)
 
-    def submit_operations(self, ops: list[Operation]) -> None:
-        """Bulk intake used by the DES workload generator (leader only)."""
-        self.pool.add_many(ops)
-        if self.is_leader():
-            self._maybe_propose()
-
     def _handle_client_request(self, src: int, request: ClientRequest) -> None:
         # The client service (when installed) filters first: a committed
         # duplicate is replayed from its cache, a full admission window
@@ -466,10 +460,6 @@ class ReplicaBase(ABC):
         self.ctx.charge(self.costs.sign_vote())
         self.ctx.send(dst, vote)
 
-    def _verify_qc_or_raise(self, qc: QuorumCertificate) -> None:
-        self._charge_qc_verify(qc)
-        self.crypto.verify_qc(qc)
-
     def _charge_qc_verify(self, qc: QuorumCertificate) -> None:
         """Charge CPU for verifying ``qc``, cache-aware when pipelining.
 
@@ -482,11 +472,6 @@ class ReplicaBase(ABC):
             self.ctx.charge(self.costs.qc_cache_lookup())
         else:
             self.ctx.charge(self.costs.verify_qc(qc))
-
-    def _phase_qc_valid(self, qc: QuorumCertificate, phase: Phase) -> bool:
-        if qc.phase != phase:
-            return False
-        return self.crypto.qc_is_valid(qc)
 
     # -------------------------------------------------- pipelining helpers
 

@@ -16,7 +16,6 @@ from repro.common.types import ReplicaId
 from repro.crypto.signatures import Signature, SigningKey, VerifyKey
 from repro.crypto.threshold import (
     PartialSignature,
-    ThresholdPublicKey,
     ThresholdSignature,
     ThresholdSigner,
     threshold_keygen,
@@ -52,10 +51,6 @@ class KeyRegistry:
     @property
     def threshold(self) -> int:
         return self._tpk.t
-
-    @property
-    def threshold_public_key(self) -> ThresholdPublicKey:
-        return self._tpk
 
     def signing_key(self, replica: ReplicaId) -> SigningKey:
         self._check(replica)

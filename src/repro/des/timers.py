@@ -66,7 +66,3 @@ class TimerWheel:
     def cancel_all(self) -> None:
         for timer in self._timers.values():
             timer.cancel()
-
-    def is_armed(self, name: str) -> bool:
-        timer = self._timers.get(name)
-        return timer is not None and timer.armed

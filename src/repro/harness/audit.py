@@ -28,14 +28,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.adversary.behaviors import AdversaryConfig, BehaviorSpec, apply_adversary
+from repro.adversary.behaviors import AdversaryConfig, BehaviorSpec
+from repro.adversary.campaign import build_run, run_and_judge
+from repro.adversary.scenarios import get_scenario
+from repro.client.config import ClientConfig
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.common.errors import ConfigError
-from repro.harness.des_runtime import DESCluster
 from repro.harness.scenarios import _leader_crash_cost, _observatory, _steady_state_cost
-from repro.harness.workload import ClosedLoopClients
 from repro.obs.complexity import SlopeFit
-from repro.obs.observer import RunObservability
 
 #: Cluster sizes the wide-n sweep measures (the observatory's x axis).
 SWEEP_SIZES = (4, 16, 32, 64, 100)
@@ -43,8 +43,7 @@ SWEEP_SIZES = (4, 16, 32, 64, 100)
 #: Byzantine strategies ``audited_run`` can inject, by CLI name.
 BYZANTINE_MODES = {
     "none": AdversaryConfig(),
-    # Replica 0 leads view 1.
-    "equivocator": AdversaryConfig(behaviors=(BehaviorSpec.make("equivocate", 0),)),
+    "equivocator": get_scenario("equivocating-leader").adversary,
     "reply-forger": AdversaryConfig(behaviors=(BehaviorSpec.make("reply-forge", 1),)),
 }
 
@@ -156,9 +155,13 @@ def audited_run(
     view-1 leader (replica 0) propose conflicting siblings, and
     ``"reply-forger"`` makes replica 1 lie to clients about execution
     results (this forces the real client protocol, since only it carries
-    per-operation result digests on the wire).  ``dump`` is one of
-    ``"never"``, ``"on-violation"`` (also on stall) or ``"always"``; the
-    black box lands in ``dump_dir`` (default: the working directory).
+    per-operation result digests on the wire).  The run takes the
+    campaign's path (:func:`~repro.adversary.campaign.build_run`, then
+    :func:`~repro.adversary.campaign.run_and_judge`), and ``stalled`` is
+    the :class:`~repro.adversary.checker.SafetyChecker`'s progress verdict.
+    ``dump`` is one of ``"never"``, ``"on-violation"`` (also on stall) or
+    ``"always"``; the black box lands in ``dump_dir`` (default: the
+    working directory).
     """
     if byzantine not in BYZANTINE_MODES:
         raise ConfigError(
@@ -166,46 +169,27 @@ def audited_run(
         )
     if dump not in ("never", "on-violation", "always"):
         raise ConfigError(f"dump must be never/on-violation/always, got {dump!r}")
-    cluster_config = ClusterConfig(
-        num_replicas=n, batch_size=400, base_timeout=base_timeout
+    experiment = ExperimentConfig(
+        cluster=ClusterConfig(num_replicas=n, batch_size=400, base_timeout=base_timeout),
+        seed=seed,
     )
-    experiment = ExperimentConfig(cluster=cluster_config, seed=seed)
-    observability = RunObservability(
-        trace=False, flight=True, audit=True, metrics=False,
+    client_config = ClientConfig(mode="real") if byzantine == "reply-forger" else None
+    cluster = build_run(
+        BYZANTINE_MODES[byzantine],
+        protocol,
+        experiment,
+        crypto,
+        clients=clients,
+        warmup=warmup,
+        client_config=client_config,
         flight_capacity=flight_capacity,
     )
-    cluster = DESCluster(
-        experiment, protocol=protocol, crypto_mode=crypto, observability=observability
-    )
-    observatory = _observatory(cluster)  # armed after warm-up
-
-    mode = "real" if byzantine == "reply-forger" else "hub"
-    client_config = None
-    if mode == "real":
-        from repro.client.config import ClientConfig
-
-        client_config = ClientConfig(mode="real")
-    pool = ClosedLoopClients(
-        cluster,
-        num_clients=clients,
-        token_weight=1,
-        target="all",
-        warmup=warmup,
-        mode=mode,
-        client_config=client_config,
-    )
-    apply_adversary(cluster, BYZANTINE_MODES[byzantine])
-
-    cluster.start()
-    cluster.sim.schedule(0.01, pool.start)
+    observatory = _observatory(cluster)
     cluster.sim.schedule(warmup, observatory.arm)
-    cluster.run(until=sim_time)
-
-    committed = max(r.ledger.committed_height for r in cluster.replicas)
-    auditor = observability.auditor
-    assert auditor is not None
-    stall_window = max(6.0 * base_timeout, 2.0)
-    stalled = committed == 0 or (sim_time - auditor.last_commit_time) > stall_window
+    progress = run_and_judge(cluster, sim_time, check_progress=True).progress
+    committed = progress["max_committed_height"]
+    stalled = progress["stalled"]
+    observability = cluster.observability
     report = AuditReport(
         protocol=protocol,
         n=n,

@@ -168,11 +168,6 @@ class JourneyRecorder:
             self._events[key] = events
         events.append((checkpoint, when))
 
-    def record_op(self, client_id: int, sequence: int, checkpoint: str, when: float) -> None:
-        """Sample-checking variant of :meth:`record`."""
-        if self.sampled(client_id):
-            self.record(client_id, sequence, checkpoint, when)
-
     def record_ops(self, operations: Iterable[Any], checkpoint: str, when: float) -> None:
         """Record one checkpoint for every sampled op of a block/batch.
 

@@ -90,10 +90,6 @@ class KVStateMachine:
         self._applied += 1
         return result
 
-    @staticmethod
-    def encode_get(key: bytes) -> bytes:
-        return encode(["get", key])
-
     def _write(self, key: bytes, value: bytes) -> None:
         self._state[key] = value
         if self._store is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Iterable
+from typing import Any
 
 from repro.client.config import ClientConfig
 from repro.client.runtime import LocalClient
@@ -169,12 +169,6 @@ class LocalCluster:
             node.replica.on_message(-1, request)
         await asyncio.sleep(0)
         return sequence
-
-    async def submit_many(self, payloads: Iterable[bytes], client_id: int = 10_000) -> int:
-        last = -1
-        for payload in payloads:
-            last = await self.submit(payload, client_id)
-        return last
 
     # ------------------------------------------------------------ queries
 

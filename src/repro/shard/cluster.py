@@ -348,11 +348,6 @@ class ShardedCluster:
             if group.observatory is not None:
                 group.observatory.arm()
 
-    def disarm_observatories(self) -> None:
-        for group in self.groups:
-            if group.observatory is not None:
-                group.observatory.disarm()
-
     # ------------------------------------------------------------ readouts
 
     def committed_heights(self) -> list[list[int]]:

@@ -175,13 +175,6 @@ class KVStore:
     def num_runs(self) -> int:
         return len(self._runs)
 
-    def approximate_size(self) -> int:
-        """Rough live-data byte count across memtable and runs."""
-        total = self._memtable_bytes
-        for run in self._runs:
-            total += sum(len(k) + len(v) for k, v in run.items())
-        return total
-
     def close(self) -> None:
         if not self._closed:
             self._wal.sync() if self._dir else None

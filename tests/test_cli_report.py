@@ -65,3 +65,7 @@ class TestCliExecution:
     def test_fuzz_runs(self, capsys):
         assert main(["fuzz", "--seed", "1", "--sim-time", "8"]) == 0
         assert "safety           : OK" in capsys.readouterr().out
+
+    def test_explore_runs(self, capsys):
+        assert main(["explore", "--schedules", "5"]) == 0
+        assert "5 adversarial schedules of marlin: all safe." in capsys.readouterr().out

@@ -32,6 +32,26 @@ def misbehave(cluster, kind: str, replica: int, **params) -> None:
     apply_adversary(cluster, config)
 
 
+@pytest.fixture
+def double_count_one_block(monkeypatch):
+    """Make the first ledger to commit a non-empty block apply it twice."""
+    from repro.consensus.ledger import Ledger
+
+    commit = Ledger.commit
+    done = []
+
+    def double_counting_commit(self, block):
+        path = commit(self, block)
+        for node in path:
+            weight = sum(op.weight for op in node.operations)
+            if weight and not done:
+                done.append(node)
+                self._ops_committed += weight
+        return path
+
+    monkeypatch.setattr(Ledger, "commit", double_counting_commit)
+
+
 class TestStrategies:
     def test_silent_after_behaves_like_crash(self):
         cluster, pool = build()
@@ -103,6 +123,20 @@ class TestFuzz:
         report = fuzz_schedule(3, protocol="marlin", f=1, sim_time=10.0)
         assert isinstance(report.events, list)
         assert report.max_view >= 1
+
+    def test_double_counted_block_is_not_safe(self, double_count_one_block):
+        # The checker holds each ledger's applied op-weight to its
+        # committed history; a commit-rule audit alone never sees it.
+        report = fuzz_schedule(1, protocol="marlin", f=1, sim_time=8.0)
+        assert report.safety_ok is False
+
+    def test_cli_exits_nonzero_on_violation(self, double_count_one_block, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--seed", "1", "--sim-time", "8"])
+        assert exit_info.value.code == 1
+        assert "safety           : VIOLATED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lemma4_holds_under_crash_faults(self, seed):
