@@ -6,6 +6,7 @@ hypothesis checks that rank is a strict partial order.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
@@ -172,3 +173,49 @@ def test_property_transitivity(a, b, c):
 def test_property_maxima_are_undominated(qcs):
     for maximum in highest_qcs(qcs):
         assert not any(qc_rank_higher(other, maximum) for other in qcs)
+
+
+def fig4_rank_higher(qc1: QuorumCertificate, qc2: QuorumCertificate) -> bool:
+    """Fig. 4 verbatim, the reference ``qc_rank_higher`` is held to."""
+    ranked_high = (Phase.PREPARE, Phase.COMMIT)
+    if qc1.view > qc2.view:  # (a)
+        return True
+    if qc1.view != qc2.view:
+        return False
+    if qc1.phase in ranked_high and qc2.phase == Phase.PRE_PREPARE:  # (b)
+        return True
+    # (c)
+    return qc1.phase in ranked_high and qc2.phase in ranked_high and qc1.height > qc2.height
+
+
+#: Every phase a QC can carry (VIEW_CHANGE messages form none).
+_QC_PHASES = [phase for phase in Phase if phase is not Phase.VIEW_CHANGE]
+
+
+@pytest.mark.parametrize("phase1", _QC_PHASES, ids=lambda p: p.value)
+@pytest.mark.parametrize("phase2", _QC_PHASES, ids=lambda p: p.value)
+def test_every_phase_pair_follows_fig4(phase1, phase2):
+    """Every QC phase pair, with lower, equal and higher view and height."""
+    for view in (1, 2, 3):
+        for height in (4, 5, 6):
+            qc1, qc2 = qc(phase1, view, height), qc(phase2, 2, 5)
+            assert qc_rank_higher(qc1, qc2) is fig4_rank_higher(qc1, qc2)
+            assert qc_rank_higher(qc2, qc1) is fig4_rank_higher(qc2, qc1)
+
+
+def test_generic_ties_are_not_transitive():
+    """Over every QC phase, Fig. 4's ties are not an equivalence.
+
+    Same view: GENERIC ties with PREPARE and with PRE_PREPARE, yet PREPARE
+    outranks PRE_PREPARE.  So no key function ``k`` with ``rank(a) >
+    rank(b)`` iff ``k(a) > k(b)`` exists once chained GENERIC QCs are
+    ranked; one does only over Marlin's three QC types.
+    """
+    generic, prepare, pre_prepare = (
+        qc(Phase.GENERIC, 2, 5),
+        qc(Phase.PREPARE, 2, 5),
+        qc(Phase.PRE_PREPARE, 2, 5),
+    )
+    assert compare_qc_rank(generic, prepare) is Rank.EQUAL
+    assert compare_qc_rank(generic, pre_prepare) is Rank.EQUAL
+    assert compare_qc_rank(prepare, pre_prepare) is Rank.HIGHER

@@ -284,3 +284,80 @@ class TestProcess:
         process = Process(sim, "p")
         with pytest.raises(ValueError):
             process.charge(-1.0)
+
+
+def _arm(entry: str):
+    """Schedule one piece of work for replica 1 through ``entry``.
+
+    Returns the replica's process, the simulator and the list the work
+    appends to when it runs.  Every entry point a replica's work can take
+    into the event queue is here: the three :class:`Process` methods, a
+    network delivery, a send that waits for a busy CPU, and a named timer.
+    """
+    from repro.common.config import ClusterConfig, ExperimentConfig
+    from repro.harness.des_runtime import DESCluster
+
+    cluster = DESCluster(
+        ExperimentConfig(cluster=ClusterConfig.for_f(1), seed=1), crypto_mode="null"
+    )
+    sim = cluster.sim
+    process = cluster.processes[1]
+    ran: list[float] = []
+
+    def work() -> None:
+        ran.append(sim.now)
+
+    if entry == "run_after":
+        process.run_after(1.0, work)
+    elif entry == "run_at":
+        process.run_at(1.0, work)
+    elif entry == "run_after_cpu":
+        process.run_after_cpu(1.0, work)
+    elif entry == "delivery":
+        cluster.replicas[1].on_message = lambda src, payload: work()
+        cluster.network.send(0, 1, "hello")
+    elif entry == "net-send":
+        # Replica 1's CPU is busy, so its send leaves when the work ends.
+        cluster.replicas[2].on_message = lambda src, payload: work()
+        ctx = cluster.replicas[1].ctx
+        ctx.charge(1.0)
+        ctx.send(2, "hello")
+    else:
+        cluster.replicas[1].ctx.set_timer("probe", 1.0, work)
+    return process, sim, ran
+
+
+#: Every way replica work enters the queue: (heap pops when the replica
+#: is crashed, heap pops when it is alive).  The delivery pops the
+#: network's drain event, then the replica's CPU event; an alive busy
+#: send adds the drain and the receiver's CPU event.
+_ENTRIES = {
+    "run_after": (1, 1),
+    "run_at": (1, 1),
+    "run_after_cpu": (1, 1),
+    "delivery": (2, 2),
+    "net-send": (1, 3),
+    "set_timer": (1, 1),
+}
+
+
+class TestCrashedProcessDropsWork:
+    """One liveness rule at every entry: a crashed process's pending work
+    is popped and counted, but does nothing; a recovered one's runs."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_crash_before_it_fires(self, entry):
+        process, sim, ran = _arm(entry)
+        process.crash()
+        sim.run()
+        assert ran == []
+        assert sim.events_processed == _ENTRIES[entry][0]
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_recover_before_it_fires(self, entry):
+        process, sim, ran = _arm(entry)
+        process.crash()
+        process.recover()
+        sim.run()
+        assert len(ran) == 1
+        assert sim.events_processed == _ENTRIES[entry][1]
