@@ -29,7 +29,9 @@ from enum import Enum
 
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate
 
-_RANKED_HIGH = frozenset({Phase.PREPARE, Phase.COMMIT})
+# Phases are compared by identity: ``phase in frozenset`` would hash an
+# Enum member in Python on every comparison.
+_PRE_PREPARE, _PREPARE, _COMMIT = Phase.PRE_PREPARE, Phase.PREPARE, Phase.COMMIT
 
 
 class Rank(Enum):
@@ -47,11 +49,13 @@ class Rank(Enum):
 
 def qc_rank_higher(qc1: QuorumCertificate, qc2: QuorumCertificate) -> bool:
     """Fig. 4: is ``rank(qc1) > rank(qc2)``?"""
-    if qc1.view != qc2.view:
+    if qc1.view != qc2.view:  # (a)
         return qc1.view > qc2.view
-    if qc1.phase in _RANKED_HIGH and qc2.phase == Phase.PRE_PREPARE:
+    phase1, phase2 = qc1.phase, qc2.phase
+    ranked_high1 = phase1 is _PREPARE or phase1 is _COMMIT
+    if ranked_high1 and phase2 is _PRE_PREPARE:  # (b)
         return True
-    if qc1.phase in _RANKED_HIGH and qc2.phase in _RANKED_HIGH:
+    if ranked_high1 and (phase2 is _PREPARE or phase2 is _COMMIT):  # (c)
         return qc1.height > qc2.height
     return False
 

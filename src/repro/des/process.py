@@ -9,12 +9,16 @@ just network hops — bound throughput.
 
 Crashing a process makes it drop all future callbacks, which is exactly
 the crash-failure model of the paper's view-change and rotating-leader
-experiments.
+experiments.  Every callback a process schedules goes through one
+alive-checking dispatcher, :meth:`dispatch`, bound with its arguments in
+one :func:`functools.partial`: a crashed process's pending work is still
+popped (and counted) when its time comes, and then does nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Any, Callable
 
 from repro.des.simulator import Simulator
 
@@ -28,6 +32,7 @@ class Process:
         self._cpu_free_at = 0.0
         self._alive = True
         self._cpu_busy_total = 0.0
+        self._cpu_label = f"{name}:cpu"
 
     @property
     def sim(self) -> Simulator:
@@ -49,7 +54,8 @@ class Process:
     @property
     def cpu_free_at(self) -> float:
         """Absolute time at which all charged CPU work completes."""
-        return max(self._cpu_free_at, self._sim.now)
+        free, now = self._cpu_free_at, self._sim._now
+        return free if free > now else now
 
     @property
     def now(self) -> float:
@@ -72,27 +78,43 @@ class Process:
         """
         if cpu_seconds < 0:
             raise ValueError(f"cpu_seconds cannot be negative: {cpu_seconds}")
-        start = max(self._cpu_free_at, self._sim.now)
+        start, now = self._cpu_free_at, self._sim._now
+        if now > start:
+            start = now
         self._cpu_free_at = start + cpu_seconds
         self._cpu_busy_total += cpu_seconds
         return self._cpu_free_at
 
+    def dispatch(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` unless the process has crashed.
+
+        The one liveness rule: every callback this process schedules, and
+        every timer armed on its behalf, is ``partial(dispatch, ...)``.
+        """
+        if self._alive:
+            callback(*args)
+
     def run_after_cpu(self, cpu_seconds: float, callback: Callable[[], None], label: str = "") -> None:
         """Charge CPU work and run ``callback`` when it completes (if alive)."""
         done_at = self.charge(cpu_seconds)
-        self._sim.schedule_at(done_at, self._guard(callback), label=label or f"{self._name}:cpu")
+        self._sim.schedule_at(done_at, partial(self.dispatch, callback), label or self._cpu_label)
+
+    def run_when_free(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` once the CPU is free (if alive).
+
+        How a delivered message waits for a busy replica: no CPU is
+        charged here, the handler charges its own work when it runs.
+        """
+        sim = self._sim
+        free, now = self._cpu_free_at, sim._now
+        sim.schedule_at(
+            free if free > now else now, partial(self.dispatch, callback, *args), self._cpu_label
+        )
 
     def run_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
         """Run ``callback`` at absolute simulated ``time`` if still alive."""
-        self._sim.schedule_at(time, self._guard(callback), label=label or self._name)
+        self._sim.schedule_at(time, partial(self.dispatch, callback), label or self._name)
 
     def run_after(self, delay: float, callback: Callable[[], None], label: str = "") -> None:
         """Run ``callback`` after ``delay`` seconds if still alive."""
-        self._sim.schedule(delay, self._guard(callback), label=label or self._name)
-
-    def _guard(self, callback: Callable[[], None]) -> Callable[[], None]:
-        def guarded() -> None:
-            if self._alive:
-                callback()
-
-        return guarded
+        self._sim.schedule(delay, partial(self.dispatch, callback), label or self._name)

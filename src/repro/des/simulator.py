@@ -136,7 +136,19 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        return self.schedule(time - self._now, callback, label)
+        now = self._now
+        delay = time - now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # ``now + (time - now)``, not ``time``: the same float as
+        # ``schedule(delay)`` gives, so event order is unchanged.
+        time = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, callback, label)
+        event.owner = self
+        heappush(self._queue, (time, seq, event))
+        return event
 
     def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
         """Schedule ``callback`` at the current instant (after queued peers)."""

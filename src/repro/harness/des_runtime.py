@@ -18,6 +18,7 @@ the traffic counters the complexity benchmarks read.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.common.config import ExperimentConfig
@@ -69,6 +70,7 @@ class DESContext(NodeContext):
         num_replicas: int,
     ) -> None:
         self._process = process
+        self._sim = process.sim
         self._network = network
         self._id = replica_id
         self._n = num_replicas
@@ -76,19 +78,23 @@ class DESContext(NodeContext):
 
     @property
     def now(self) -> float:
-        return self._process.sim.now
+        return self._sim._now
 
     def charge(self, seconds: float) -> None:
         if seconds > 0:
             self._process.charge(seconds)
 
     def send(self, dst: int, payload: Any) -> None:
-        ready_at = self._process.cpu_free_at
-        if ready_at <= self.now:
+        process = self._process
+        ready_at = process._cpu_free_at
+        if ready_at <= self._sim._now:
             self._network.send(self._id, dst, payload)
         else:
-            self._process.run_at(
-                ready_at, lambda: self._network.send(self._id, dst, payload), "net-send"
+            # The CPU is busy: the message leaves when the work ends.
+            self._sim.schedule_at(
+                ready_at,
+                partial(process.dispatch, self._network.send, self._id, dst, payload),
+                "net-send",
             )
 
     def broadcast(self, payload: Any) -> None:
@@ -96,11 +102,7 @@ class DESContext(NodeContext):
             self.send(dst, payload)
 
     def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
-        def guarded() -> None:
-            if self._process.alive:
-                callback()
-
-        self._timers.set(name, delay, guarded)
+        self._timers.set(name, delay, partial(self._process.dispatch, callback))
 
     def cancel_timer(self, name: str) -> None:
         self._timers.cancel(name)
@@ -234,13 +236,12 @@ class DESCluster:
         process = self.processes[replica_id]
         replica_ref = self.replicas
         inbound = self._inbound_filter
+        run_when_free = process.run_when_free
         if inbound is None:
 
             def deliver(src: int, payload: Any) -> None:
                 # Processing waits for the CPU; the handler then charges more.
-                process.run_after_cpu(
-                    0.0, lambda: replica_ref[replica_id].on_message(src, payload)
-                )
+                run_when_free(replica_ref[replica_id].on_message, src, payload)
 
             return deliver
 
@@ -248,9 +249,7 @@ class DESCluster:
             payload = inbound(replica_id, src, payload)
             if payload is None:
                 return
-            process.run_after_cpu(
-                0.0, lambda: replica_ref[replica_id].on_message(src, payload)
-            )
+            run_when_free(replica_ref[replica_id].on_message, src, payload)
 
         return deliver_filtered
 

@@ -22,7 +22,8 @@ block, whose wire size equals the sum of the individual replies.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import Any
 
 from repro.client.config import ClientConfig
@@ -79,64 +80,119 @@ def _attach_reply_sender(pool, replica: ReplicaBase) -> None:
 
 
 def _acknowledge(pool, batch: ReplyBatch) -> list[tuple[int, int]]:
-    """Fold one replica's ReplyBatch into the pool's ``f + 1`` acks.
+    """Fold one replica's ReplyBatch into the pool's ``f + 1`` certificates.
 
-    Returns the op keys this batch certified (shared by the open- and
-    closed-loop generators).  Every op of a batch certifies at the same
-    instant and weight, so the window test runs once, their latencies go
-    to the sample store as one batch, and their throughput is recorded
-    as one weighted count.
+    Returns the op keys this batch certified, in op order (shared by the
+    open- and closed-loop generators).  Every op of a batch certifies at
+    the same instant and weight, so the window test runs once, their
+    latencies go to the sample store as one batch, and their throughput
+    is recorded as one weighted count.
 
-    A block is *finished* once a walk of one of its batches leaves none of
-    its keys outstanding; the block's later batches return ``[]`` before
-    the walk.  That is exact: keys never return (each client's sequence
-    only grows, and a certified key has left ``_submit_time``), so a
-    skipped walk would only have found absent keys.  ``pool._replying``
-    holds ``[batches still due, finished]`` per block and drops the entry
-    when the last voting replica's batch arrives, so it is bounded without
-    a window.  A replica that crashes for good leaves at most one entry
-    per block committed after the crash.
+    Certification is a per-block fact: a replica answers a committed
+    block with one batch holding all its keys, so a key certifies once
+    ``f + 1`` replicas have answered a block that holds it.  Each
+    ``pool._replying`` entry is ``[batches still due, replica mask, keys,
+    shared]`` for one block:
+
+    * at the block's first batch, one *claim* walk records the keys still
+      outstanding, in op order, and claims them in ``pool._claimed``.  A
+      key an earlier block already claimed is a re-proposed op (a view
+      change re-proposes ops that sit in a committed block): both blocks
+      then hold it in ``shared`` with the group of blocks holding it;
+    * every batch ORs its replica bit into the block's mask;
+    * the batch that first brings the mask to ``f + 1`` certifies every
+      key of the block still outstanding, in op order, and the block is
+      *finished* (``keys`` is ``None``): its later batches return ``[]``;
+    * at any other batch only the block's shared keys are checked: such a
+      key certifies once the union of its blocks' masks reaches ``f + 1``.
+
+    That is exactly the per-key rule (a key certifies at the first batch
+    that brings the replicas answering any block holding it to ``f + 1``):
+    keys never return (each client's sequence only grows, and a certified
+    key has left ``_submit_time``), so a key absent at a block's first
+    batch stays absent.  A certified key leaves ``_claimed`` and every
+    ``shared`` table, so both hold outstanding keys only.  An entry is
+    dropped when the last voting replica's batch arrives, so the table is
+    bounded without a window; a replica that crashes for good leaves at
+    most one finished, key-free entry per block committed after the crash.
     """
     replying = pool._replying
     digest = batch.block_digest
     entry = replying.get(digest)
     if entry is None:
-        replying[digest] = entry = [pool._voters, False]
+        replying[digest] = entry = [pool._voters, 0, None, None]
+        _claim(pool, entry, batch.op_keys)
     entry[0] -= 1
     if not entry[0]:
         del replying[digest]
-    if entry[1]:
+    keys = entry[2]
+    if keys is None:
         return []
-    now = pool.cluster.sim.now
-    replica_bit = 1 << batch.replica
-    need = pool.f + 1
-    weight = pool.token_weight
+    mask = entry[1] = entry[1] | 1 << batch.replica
     submit_time = pool._submit_time
-    acks = pool._acks
-    certified: list[tuple[int, int]] = []
-    latencies: list[float] = []
-    outstanding = False
-    for key in batch.op_keys:
-        submitted = submit_time.get(key)
-        if submitted is None:
-            continue  # already acknowledged (and, closed-loop, recycled)
-        mask = acks.get(key, 0) | replica_bit
-        if mask.bit_count() < need:
-            acks[key] = mask
-            outstanding = True
-            continue
-        del submit_time[key]
-        acks.pop(key, None)
-        latencies.append(now - submitted)
-        certified.append(key)
-    if not outstanding:
-        entry[1] = True
-    if certified:
-        latency = pool.latency
-        if latency.window_start <= now <= latency.window_end:
-            latency.samples.append_batch(now, weight, latencies)
-        pool.throughput.record(now, len(certified) * weight)
+    if mask.bit_count() > pool.f:
+        entry[2] = None
+        certified = list(filter(submit_time.__contains__, keys))
+    elif entry[3]:
+        certified = _shared_certified(pool.f, entry)
+    else:
+        return []
+    if not certified:
+        return certified
+    now = pool.cluster.sim.now
+    latencies = list(map(sub, repeat(now), map(submit_time.pop, certified)))
+    claimed = pool._claimed
+    for key in certified:
+        del claimed[key]
+    shared = entry[3]
+    if shared:
+        for key in certified:
+            group = shared.get(key)
+            if group is not None:
+                for holder in group:
+                    del holder[3][key]
+    weight = pool.token_weight
+    latency = pool.latency
+    if latency.window_start <= now <= latency.window_end:
+        latency.samples.append_batch(now, weight, latencies)
+    pool.throughput.record(now, len(certified) * weight)
     return certified
+
+
+def _claim(pool, entry: list, op_keys: tuple) -> None:
+    """A block's first batch: record and claim its outstanding keys."""
+    keys = dict.fromkeys(filter(pool._submit_time.__contains__, op_keys), entry)
+    if not keys:
+        return  # every op already certified: the block is finished
+    claimed = pool._claimed
+    if not claimed.keys().isdisjoint(keys):
+        # Re-proposed ops: share each with the blocks that claimed it.
+        shared = entry[3] = {}
+        for key in keys:
+            owner = claimed.get(key)
+            if owner is None:
+                continue
+            if owner[3] is None:
+                owner[3] = {}
+            group = owner[3].setdefault(key, [owner])
+            group.append(entry)
+            shared[key] = group
+    claimed.update(keys)
+    entry[2] = keys
+
+
+def _shared_certified(f: int, entry: list) -> list[tuple[int, int]]:
+    """The block's shared keys whose blocks' masks together reach f + 1."""
+    ready = []
+    for key, group in entry[3].items():
+        mask = 0
+        for holder in group:
+            mask |= holder[1]
+        if mask.bit_count() > f:
+            ready.append(key)
+    if len(ready) > 1:
+        ready.sort(key=list(entry[2]).index)  # op order
+    return ready
 
 
 class OpenLoopClients:
@@ -186,10 +242,11 @@ class OpenLoopClients:
         self.latency = LatencyRecorder(window_start=warmup)
         self.throughput = ThroughputMeter(window_start=warmup)
         self._submit_time: dict[tuple[int, int], float] = {}
-        #: Replica-id bitmask per outstanding op (cheaper than a set).
-        self._acks: dict[tuple[int, int], int] = {}
-        #: Per block with replies still due: [batches due, finished].
+        #: Per block with replies still due: [batches due, replica mask,
+        #: keys, shared] (see :func:`_acknowledge`).
         self._replying: dict[Digest, list] = {}
+        #: Outstanding op key -> the last block entry that claimed it.
+        self._claimed: dict[tuple[int, int], list] = {}
         #: (block, its op keys) of the last committed block replied to.
         self._op_keys_memo: tuple[Block | None, tuple] = (None, ())
         self._voters = experiment.cluster.num_replicas
@@ -340,10 +397,11 @@ class ClosedLoopClients:
         self.latency = LatencyRecorder(window_start=warmup)
         self.throughput = ThroughputMeter(window_start=warmup)
         self._submit_time: dict[tuple[int, int], float] = {}
-        #: Replica-id bitmask per outstanding op (cheaper than a set).
-        self._acks: dict[tuple[int, int], int] = {}
-        #: Per block with replies still due: [batches due, finished].
+        #: Per block with replies still due: [batches due, replica mask,
+        #: keys, shared] (see :func:`_acknowledge`).
         self._replying: dict[Digest, list] = {}
+        #: Outstanding op key -> the last block entry that claimed it.
+        self._claimed: dict[tuple[int, int], list] = {}
         #: (block, its op keys) of the last committed block replied to.
         self._op_keys_memo: tuple[Block | None, tuple] = (None, ())
         self._voters = experiment.cluster.num_replicas
