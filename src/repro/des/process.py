@@ -2,10 +2,10 @@
 
 A :class:`Process` wraps a simulator handle and models a single-threaded
 CPU: work charged with :meth:`charge` extends the time at which the
-process can next act, and :meth:`run_after_cpu` schedules a callback for
-when both a delay has elapsed *and* the CPU is free.  This is how the DES
-reproduces the paper's observation that crypto and database work — not
-just network hops — bound throughput.
+process can next act, and :meth:`run_when_free` schedules a callback
+(a delivered message's handler) for when the CPU is free.  This is how
+the DES reproduces the paper's observation that crypto and database
+work — not just network hops — bound throughput.
 
 Crashing a process makes it drop all future callbacks, which is exactly
 the crash-failure model of the paper's view-change and rotating-leader
@@ -52,12 +52,6 @@ class Process:
         return self._cpu_busy_total
 
     @property
-    def cpu_free_at(self) -> float:
-        """Absolute time at which all charged CPU work completes."""
-        free, now = self._cpu_free_at, self._sim._now
-        return free if free > now else now
-
-    @property
     def now(self) -> float:
         return self._sim.now
 
@@ -94,11 +88,6 @@ class Process:
         if self._alive:
             callback(*args)
 
-    def run_after_cpu(self, cpu_seconds: float, callback: Callable[[], None], label: str = "") -> None:
-        """Charge CPU work and run ``callback`` when it completes (if alive)."""
-        done_at = self.charge(cpu_seconds)
-        self._sim.schedule_at(done_at, partial(self.dispatch, callback), label or self._cpu_label)
-
     def run_when_free(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` once the CPU is free (if alive).
 
@@ -110,11 +99,3 @@ class Process:
         sim.schedule_at(
             free if free > now else now, partial(self.dispatch, callback, *args), self._cpu_label
         )
-
-    def run_at(self, time: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` at absolute simulated ``time`` if still alive."""
-        self._sim.schedule_at(time, partial(self.dispatch, callback), label or self._name)
-
-    def run_after(self, delay: float, callback: Callable[[], None], label: str = "") -> None:
-        """Run ``callback`` after ``delay`` seconds if still alive."""
-        self._sim.schedule(delay, partial(self.dispatch, callback), label or self._name)

@@ -97,13 +97,28 @@ class FlightRecorder:
         return [FlightEvent(*item) for item in raw if item is not None]
 
     def window(self, last: int | None = None, since: float | None = None) -> list[FlightEvent]:
-        """The trailing ``last`` events, optionally only those after ``since``."""
-        events = self.events()
-        if since is not None:
-            events = [event for event in events if event.time >= since]
-        if last is not None and len(events) > last:
-            events = events[-last:]
-        return events
+        """The trailing ``last`` events, optionally only those at or after ``since``.
+
+        One backward walk from the newest slot, oldest first in the
+        result: it stops after ``last`` events or at the first event
+        older than ``since`` (events are recorded in time order), so a
+        read costs O(window), not O(capacity).
+        """
+        count, capacity = self._count, self.capacity
+        stop = min(count, capacity)
+        if last is not None:
+            if last < 0:
+                raise ValueError(f"flight window length must be >= 0, got {last}")
+            stop = min(stop, last)
+        ring = self._ring
+        window: list[FlightEvent] = []
+        for index in range(count - 1, count - 1 - stop, -1):
+            item = ring[index % capacity]
+            if since is not None and item[1] < since:
+                break
+            window.append(FlightEvent._make(item))
+        window.reverse()
+        return window
 
 
 # ---------------------------------------------------------------------------

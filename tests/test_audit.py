@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.consensus.block import Block, Operation
 from repro.harness.audit import audited_run, complexity_sweep
 from repro.obs.audit import OnlineAuditor
 from repro.obs.complexity import ComplexityObservatory, SlopeFit, fit_loglog_slope
@@ -50,6 +53,42 @@ class TestFlightRecorder:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             FlightRecorder(0, capacity=0)
+
+    def test_window_of_zero_is_empty(self):
+        recorder = FlightRecorder(0, capacity=4)
+        for i in range(6):
+            recorder.record(float(i), "view", i)
+        assert recorder.window(last=0) == []
+        assert recorder.window(last=0, since=0.0) == []
+
+    def test_window_rejects_negative_length(self):
+        recorder = FlightRecorder(0, capacity=4)
+        recorder.record(0.0, "view", 1)
+        with pytest.raises(ValueError):
+            recorder.window(last=-1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_window_is_filter_then_slice_of_events(self, capacity, data):
+        # Counts below, at and above capacity, so the ring wraps.
+        count = data.draw(st.integers(0, 3 * capacity), label="count")
+        steps = data.draw(st.lists(st.integers(0, 2), min_size=count, max_size=count))
+        recorder = FlightRecorder(0, capacity=capacity)
+        now = 0.0
+        for i, step in enumerate(steps):
+            now += step
+            recorder.record(now, "view", i)
+        last = data.draw(st.none() | st.integers(0, 2 * capacity + 1), label="last")
+        since = data.draw(st.none() | st.integers(-1, int(now) + 1).map(float), label="since")
+        expected = recorder.events()
+        if since is not None:
+            expected = [e for e in expected if e.time >= since]
+        if last is not None:
+            expected = expected[len(expected) - min(last, len(expected)):]
+        assert recorder.window(last=last, since=since) == expected
 
 
 class TestBlackbox:
@@ -123,8 +162,6 @@ class TestOnlineAuditor:
         assert [v.kind for v in auditor.violations] == ["non-monotone-view"]
 
     def test_duplicate_execution_flagged(self):
-        from repro.consensus.block import Block, Operation
-
         auditor = self._auditor()
         op = Operation(client_id=9, sequence=1, payload=b"x")
         block_a = Block(
@@ -152,6 +189,112 @@ class TestOnlineAuditor:
         assert [e.kind for e in window[0]] == ["view"]
         rendered = violation.to_dict()
         assert rendered["window"]["0"][0]["kind"] == "view"
+
+    @staticmethod
+    def _block(height: int, keys, ops: tuple[Operation, ...] = ()) -> Block:
+        ops = ops or tuple(Operation(client_id=c, sequence=s, payload=b"x") for c, s in keys)
+        return Block(
+            parent_link=None, parent_view=0, view=1, height=height,
+            operations=ops, justify_digest=b"",
+        )
+
+    def test_duplicate_execution_in_op_order_within_a_block(self):
+        auditor = self._auditor()
+        auditor.on_commit_block(0, self._block(1, [(1, 0), (2, 0)]), 0.1)
+        # The same op object twice, between a duplicate and a new key.
+        old, new, repeat, late = self._block(2, [(2, 0), (1, 1), (3, 0), (1, 0)]).operations
+        auditor.on_commit_block(0, self._block(2, (), (old, new, repeat, repeat, late)), 0.2)
+        details = [v.detail for v in auditor.violations]
+        assert details == [
+            "replica 0 committed client 2 seq 0 twice (deduplicated at execution)",
+            "replica 0 committed client 3 seq 0 twice (deduplicated at execution)",
+            "replica 0 committed client 1 seq 0 twice (deduplicated at execution)",
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), max_size=6),
+            ),
+            max_size=8,
+        )
+    )
+    def test_duplicate_execution_matches_a_key_set_walk(self, commits):
+        auditor = self._auditor()
+        executed: dict[int, set] = {}
+        expected: list[str] = []
+        for height, (replica, keys) in enumerate(commits, start=1):
+            seen = executed.setdefault(replica, set())
+            for client, seq in keys:
+                detail = (
+                    f"replica {replica} committed client {client} seq {seq} "
+                    f"twice (deduplicated at execution)"
+                )
+                if (client, seq) in seen and detail not in expected:
+                    expected.append(detail)
+                seen.add((client, seq))
+            auditor.on_commit_block(replica, self._block(height, keys), float(height))
+        assert [v.detail for v in auditor.violations] == expected
+
+    def test_flags_share_a_window_until_the_recorder_moves(self):
+        auditor = self._auditor()
+        recorder = FlightRecorder(0, capacity=8)
+        recorder.record(0.05, "view", 1)
+        auditor.recorders = {0: recorder}
+        auditor.on_commit_block(0, self._block(1, [(1, 0), (2, 0)]), 0.1)
+        auditor.on_commit_block(0, self._block(2, [(1, 0), (2, 0)]), 0.2)
+        recorder.record(0.25, "commit", 1, 2, b"\x02", "2")
+        auditor.on_commit_block(0, self._block(3, [(1, 0), (3, 0), (3, 0)]), 0.3)
+        first, second, third = auditor.violations
+        assert dict(first.window)[0] is dict(second.window)[0]
+        assert dict(third.window)[0] is not dict(first.window)[0]
+        assert [e.kind for e in dict(third.window)[0]] == ["view", "commit"]
+        assert first.to_dict()["window"]["0"] is second.to_dict()["window"]["0"]
+        assert json.dumps(auditor.report(), sort_keys=True) == json.dumps(
+            _reference_report(auditor), sort_keys=True
+        )
+
+
+def _reference_report(auditor: OnlineAuditor) -> dict:
+    """``OnlineAuditor.report`` as it rendered each violation on its own."""
+    by_kind: dict[str, int] = {}
+    for violation in auditor.violations:
+        by_kind[violation.kind] = by_kind.get(violation.kind, 0) + 1
+    return {
+        "ok": auditor.ok,
+        "events_audited": auditor.events_audited,
+        "last_commit_time": auditor.last_commit_time,
+        "violations_by_kind": by_kind,
+        "violations": [
+            {
+                "kind": v.kind,
+                "severity": v.severity,
+                "time": v.time,
+                "replicas": list(v.replicas),
+                "view": v.view,
+                "height": v.height,
+                "detail": v.detail,
+                "window": {
+                    str(replica): [
+                        {
+                            "seq": e.seq,
+                            "time": e.time,
+                            "kind": e.kind,
+                            "view": e.view,
+                            "height": e.height,
+                            "digest": e.digest.hex()[:16],
+                            "detail": e.detail,
+                        }
+                        for e in events
+                    ]
+                    for replica, events in v.window
+                },
+            }
+            for v in auditor.violations
+        ],
+    }
 
 
 class TestComplexityObservatory:

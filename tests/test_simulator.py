@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.des.process import Process
@@ -243,11 +245,15 @@ class TestProcess:
         assert process.cpu_busy_total == pytest.approx(3.0)
 
     def test_run_after_cpu(self):
+        """Charged work, then ``run_when_free``: each callback runs when
+        the work charged before it completes, in order."""
         sim = Simulator()
         process = Process(sim, "p")
         done: list[float] = []
-        process.run_after_cpu(0.5, lambda: done.append(sim.now))
-        process.run_after_cpu(0.5, lambda: done.append(sim.now))
+        process.charge(0.5)
+        process.run_when_free(lambda: done.append(sim.now))
+        process.charge(0.5)
+        process.run_when_free(lambda: done.append(sim.now))
         sim.run()
         assert done == [pytest.approx(0.5), pytest.approx(1.0)]
 
@@ -255,7 +261,9 @@ class TestProcess:
         sim = Simulator()
         process = Process(sim, "p")
         done: list[float] = []
-        process.run_after(1.0, lambda: done.append(sim.now))
+        process.charge(1.0)
+        process.run_when_free(lambda: done.append(sim.now))
+        sim.schedule(2.0, partial(process.dispatch, lambda: done.append(sim.now)))
         process.crash()
         sim.run()
         assert done == []
@@ -267,15 +275,24 @@ class TestProcess:
         process.crash()
         process.recover()
         done: list[float] = []
-        process.run_after(1.0, lambda: done.append(sim.now))
+        process.charge(1.0)
+        process.run_when_free(lambda: done.append(sim.now))
+        sim.schedule(2.0, partial(process.dispatch, lambda: done.append(sim.now)))
         sim.run()
-        assert done == [1.0]
+        assert done == [1.0, 2.0]
 
     def test_cpu_idle_gap(self):
+        """An idle CPU starts new work at the current time, not where
+        its last work ended."""
         sim = Simulator()
         process = Process(sim, "p")
         done: list[float] = []
-        sim.schedule(5.0, lambda: process.run_after_cpu(1.0, lambda: done.append(sim.now)))
+
+        def work() -> None:
+            process.charge(1.0)
+            process.run_when_free(lambda: done.append(sim.now))
+
+        sim.schedule(5.0, work)
         sim.run()
         assert done == [pytest.approx(6.0)]
 
@@ -291,8 +308,9 @@ def _arm(entry: str):
 
     Returns the replica's process, the simulator and the list the work
     appends to when it runs.  Every entry point a replica's work can take
-    into the event queue is here: the three :class:`Process` methods, a
-    network delivery, a send that waits for a busy CPU, and a named timer.
+    into the event queue is here: a network delivery (which waits for the
+    CPU through :meth:`Process.run_when_free`), a send that waits for a
+    busy CPU, and a named timer.
     """
     from repro.common.config import ClusterConfig, ExperimentConfig
     from repro.harness.des_runtime import DESCluster
@@ -307,13 +325,7 @@ def _arm(entry: str):
     def work() -> None:
         ran.append(sim.now)
 
-    if entry == "run_after":
-        process.run_after(1.0, work)
-    elif entry == "run_at":
-        process.run_at(1.0, work)
-    elif entry == "run_after_cpu":
-        process.run_after_cpu(1.0, work)
-    elif entry == "delivery":
+    if entry == "delivery":
         cluster.replicas[1].on_message = lambda src, payload: work()
         cluster.network.send(0, 1, "hello")
     elif entry == "net-send":
@@ -332,9 +344,6 @@ def _arm(entry: str):
 #: network's drain event, then the replica's CPU event; an alive busy
 #: send adds the drain and the receiver's CPU event.
 _ENTRIES = {
-    "run_after": (1, 1),
-    "run_at": (1, 1),
-    "run_after_cpu": (1, 1),
     "delivery": (2, 2),
     "net-send": (1, 3),
     "set_timer": (1, 1),
