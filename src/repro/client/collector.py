@@ -9,11 +9,18 @@ as a mismatch and keeps its first vote), and emits a
 :class:`ReplyCertificate` the moment some digest reaches ``f + 1``
 distinct reporters.  A liar coalition of at most ``f`` can therefore
 never certify a forged result.
+
+State is O(outstanding requests): tallies live only until their request
+certifies, and the closed keys are a :class:`KeySet`, one
+``[start, end)`` run per client while its sequence numbers close in
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.consensus.block import KeySet
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,12 @@ class ReplyCollector:
         #: (client, seq) -> replica -> (digest, view, result); one vote
         #: per replica.
         self._votes: dict[tuple[int, int], dict[int, tuple[bytes, int, bytes]]] = {}
-        self._certified: set[tuple[int, int]] = set()
+        #: Keys that certified or were discarded; later replies are ignored.
+        self._certified = KeySet()
         #: Replies that contradicted an earlier reply from the same
-        #: replica, or arrived after certification with a different
-        #: digest — each one is evidence of a faulty replica.
+        #: replica, or were tallied before certification with a digest
+        #: other than the one that certified — each one is evidence of a
+        #: faulty replica.
         self.mismatches = 0
 
     def add(
@@ -94,5 +103,12 @@ class ReplyCollector:
         return len(self._votes)
 
     def discard(self, client_id: int, sequence: int) -> None:
-        """Drop tally state for one request (session gave up on it)."""
-        self._votes.pop((client_id, sequence), None)
+        """Close one request without a certificate; later replies are ignored.
+
+        For a request the session gave up on, or a sequence number spent
+        on a request that never certifies (a leader-lease read): closing
+        it keeps the client's closed keys one contiguous run.
+        """
+        key = (client_id, sequence)
+        self._votes.pop(key, None)
+        self._certified.add(key)

@@ -186,6 +186,8 @@ class ClientSession:
         if self.config.reads == "commit":
             return self.submit(encode(["get", key]))
         seq = self.next_sequence()
+        # No reply certificate will close this sequence number.
+        self.collector.discard(self.client_id, seq)
         request = ReadRequest(
             client_id=self.client_id, sequence=seq, key=key, weight=self.weight
         )

@@ -40,8 +40,10 @@ timestamps) across runs and across ``jobs=`` fan-outs.
 
 from __future__ import annotations
 
+import heapq
 import json
 import zlib
+from array import array
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.common.encoding import encode
@@ -288,6 +290,30 @@ def _stage_order_key(stage: str) -> tuple[int, str]:
     return (13, stage)
 
 
+def _walk(recorder: JourneyRecorder, window_start: float):
+    """One pass over the raw event store, in journey-key order.
+
+    Yields ``(key, events, outcome)`` for every journey: ``outcome`` is
+    ``False`` when the journey was submitted before ``window_start``,
+    ``None`` when :func:`decompose` finds it incomplete, and otherwise
+    ``(submitted, stages, e2e)``.  Nothing is copied or sorted but the
+    keys: :func:`decompose` takes the earliest occurrence of each
+    checkpoint, so it reads a journey's events in any order.
+    """
+    store = recorder._events
+    for key in sorted(store):
+        events = store[key]
+        submitted = min((t for label, t in events if label == CK_SUBMIT), default=None)
+        if submitted is not None and submitted < window_start:
+            yield key, events, False
+            continue
+        breakdown = decompose(events)
+        if breakdown is None:
+            yield key, events, None
+        else:
+            yield key, events, (submitted, *breakdown)
+
+
 def build_waterfall(
     recorder: JourneyRecorder,
     end_to_end: LatencyRecorder | float | None = None,
@@ -302,35 +328,43 @@ def build_waterfall(
     anchors the reconciliation block: the sum of per-stage p50s must
     land within a few percent of the recorder's end-to-end p50, the
     invariant the CI latency smoke asserts.
+
+    One :func:`_walk` over the store appends each stage's durations, in
+    journey-key order, to a flat ``array('d')``: one float per stage per
+    complete journey.  Each stage is then read out through its own
+    :class:`LatencyRecorder`, freed before the next is built.
     """
     from repro.harness.metrics import LatencyRecorder
 
-    stage_recorders: dict[str, LatencyRecorder] = {}
-    journey_e2e = LatencyRecorder()
+    def readout(durations: array) -> LatencyRecorder:
+        rec = LatencyRecorder()
+        rec.samples.append_batch(0.0, 1, durations)
+        return rec
+
+    stage_durations: dict[str, array] = {}
+    journey_e2e = array("d")
     complete = incomplete = windowed_out = retransmits = 0
-    for _key, events in recorder.journeys():
+    for _key, events, outcome in _walk(recorder, window_start):
         retransmits += sum(1 for label, _ in events if label == CK_RETRANSMIT)
-        submitted = min((t for label, t in events if label == CK_SUBMIT), default=None)
-        if submitted is not None and submitted < window_start:
+        if outcome is False:
             windowed_out += 1
             continue
-        breakdown = decompose(events)
-        if breakdown is None:
+        if outcome is None:
             incomplete += 1
             continue
-        stages, e2e = breakdown
+        _submitted, stages, e2e = outcome
         complete += 1
-        journey_e2e.record(submitted, e2e)
+        journey_e2e.append(e2e)
         for stage, duration in stages:
-            rec = stage_recorders.get(stage)
-            if rec is None:
-                rec = stage_recorders[stage] = LatencyRecorder()
-            rec.record(submitted, duration)
+            durations = stage_durations.get(stage)
+            if durations is None:
+                durations = stage_durations[stage] = array("d")
+            durations.append(duration)
 
     stages_out: dict[str, dict[str, float]] = {}
     stage_sum_p50 = 0.0
-    for stage in sorted(stage_recorders, key=_stage_order_key):
-        rec = stage_recorders[stage]
+    for stage in sorted(stage_durations, key=_stage_order_key):
+        rec = readout(stage_durations.pop(stage))
         p50 = rec.p50()
         stage_sum_p50 += p50
         stages_out[stage] = {
@@ -340,11 +374,14 @@ def build_waterfall(
             "p90": rec.p90(),
             "p99": rec.p99(),
         }
+        del rec  # before the next stage's readout is built
 
+    rec = readout(journey_e2e)
+    del journey_e2e
     reconciliation: dict[str, float] = {
-        "journey_p50": journey_e2e.p50(),
-        "journey_mean": journey_e2e.mean(),
-        "journey_p99": journey_e2e.p99(),
+        "journey_p50": rec.p50(),
+        "journey_mean": rec.mean(),
+        "journey_p99": rec.p99(),
         "stage_sum_p50": stage_sum_p50,
     }
     reference = end_to_end.p50() if isinstance(end_to_end, LatencyRecorder) else end_to_end
@@ -405,25 +442,23 @@ def slowest_journeys(
 
     Checkpoints are the deduplicated, time-ordered chain the analyzer
     used (earliest occurrence per label, truncated at ``certified``).
-    Ties break on the journey key so the pick is deterministic.
+    Ties break on the journey key so the pick is deterministic; ``k <= 0``
+    picks none.  The pick is made during one :func:`_walk`, holding ``k``
+    candidates at a time.
     """
-    ranked: list[tuple[float, tuple[int, int], list[tuple[str, float]]]] = []
-    for key, events in recorder.journeys():
-        submitted = min((t for label, t in events if label == CK_SUBMIT), default=None)
-        if submitted is not None and submitted < window_start:
-            continue
-        breakdown = decompose(events)
-        if breakdown is None:
-            continue
-        stages, e2e = breakdown
+    candidates = (
+        (key, outcome) for key, _events, outcome in _walk(recorder, window_start) if outcome
+    )
+    slowest = heapq.nsmallest(k, candidates, key=lambda item: (-item[1][2], item[0]))
+    picked = []
+    for key, (submitted, stages, e2e) in slowest:
         chain = [(CK_SUBMIT, submitted)]
         cursor = submitted
         for stage, duration in stages:
             cursor += duration
             chain.append((stage, cursor))
-        ranked.append((e2e, key, chain))
-    ranked.sort(key=lambda item: (-item[0], item[1]))
-    return [(key, e2e, chain) for e2e, key, chain in ranked[:k]]
+        picked.append((key, e2e, chain))
+    return picked
 
 
 def chrome_trace(

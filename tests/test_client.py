@@ -136,6 +136,66 @@ class TestReplyCollector:
         cert = collector.add(9, 1, 1, digest, view=3)
         assert cert.view == 3
 
+    def test_sequential_certifications_keep_one_run(self):
+        # State is O(outstanding requests): no tally outlives its
+        # certificate, and a dense stream of closed keys is one run.
+        collector = ReplyCollector(f=1)
+        for seq in range(1, 10_001):
+            digest = result_digest_of(9, seq, b"")
+            assert collector.add(9, seq, 0, digest, view=1) is None
+            assert collector.add(9, seq, 1, digest, view=1) is not None
+        assert collector._votes == {}
+        assert collector._certified._runs == {9: [1, 10_001]}
+        assert not collector._certified._sparse
+
+    def test_late_duplicate_after_certification_is_ignored(self):
+        collector = ReplyCollector(f=1)
+        digest = result_digest_of(9, 1, b"")
+        collector.add(9, 1, 0, digest, view=1)
+        assert collector.add(9, 1, 1, digest, view=1) is not None
+        assert collector.add(9, 1, 1, digest, view=1) is None
+        assert collector.add(9, 1, 2, digest_of("other"), view=1) is None
+        assert collector.pending() == 0
+        assert collector.mismatches == 0
+
+    def test_only_a_different_digest_is_a_mismatch(self):
+        collector = ReplyCollector(f=2)
+        digest = result_digest_of(9, 1, b"")
+        collector.add(9, 1, 0, digest, view=1)
+        collector.add(9, 1, 0, digest, view=2)  # same story, resent
+        collector.add(9, 1, 1, digest, view=1)
+        assert collector.mismatches == 0
+        collector.add(9, 1, 3, digest_of("forged"), view=1)
+        assert collector.mismatches == 0  # counted when the request certifies
+        assert collector.add(9, 1, 2, digest, view=1) is not None
+        assert collector.mismatches == 1
+
+    def test_two_outstanding_certify_out_of_order_once_each(self):
+        collector = ReplyCollector(f=1)
+        first, second = result_digest_of(9, 1, b""), result_digest_of(9, 2, b"")
+        assert collector.add(9, 1, 0, first, view=1) is None
+        assert collector.add(9, 2, 0, second, view=1) is None
+        certs = [
+            collector.add(9, 2, 1, second, view=1),
+            collector.add(9, 1, 2, first, view=1),
+            collector.add(9, 2, 2, second, view=1),
+            collector.add(9, 1, 1, first, view=1),
+        ]
+        assert [(c.sequence, c.replicas) for c in certs if c is not None] == [
+            (2, frozenset({0, 1})),
+            (1, frozenset({0, 2})),
+        ]
+        assert collector.pending() == 0
+        assert (9, 1) in collector._certified and (9, 2) in collector._certified
+
+    def test_discarded_request_ignores_later_replies(self):
+        collector = ReplyCollector(f=1)
+        digest = result_digest_of(9, 1, b"")
+        collector.add(9, 1, 0, digest, view=1)
+        collector.discard(9, 1)
+        assert collector.pending() == 0
+        assert collector.add(9, 1, 1, digest, view=1) is None
+
 
 class TestLeaderTracker:
     def test_routes_to_believed_leader(self):
@@ -266,6 +326,22 @@ class TestClientSession:
         )
         assert results == [(seq, b"v")]
         assert session.redirects == 1 and session.reads_served == 1
+
+    def test_lease_reads_keep_closed_keys_one_run(self):
+        # A lease read spends a sequence number no reply certificate
+        # closes; the session closes it so later writes stay in the run.
+        session, ctx, results = self.make(
+            ClientConfig(mode="real", reads="leader-lease")
+        )
+        for _ in range(3):
+            seq = session.submit(b"op")
+            session.on_message(0, reply(seq=seq, replica=0))
+            session.on_message(1, reply(seq=seq, replica=1))
+            session.read(b"k")
+        ctx.drain()
+        assert [seq for seq, _ in results] == [1, 3, 5]
+        assert session.collector._certified._runs == {9: [1, 7]}
+        assert not session.collector._certified._sparse
 
 
 # ---------------------------------------------------------------------------
