@@ -294,8 +294,26 @@ class KeySet:
         self._sparse: set[tuple[int, int]] = set()
 
     def add(self, key: tuple[int, int]) -> bool:
-        """Insert ``key``; True if it was not already present."""
-        return bool(self.add_ops((Operation(*key),)))
+        """Insert ``key``; True if it was not already present.
+
+        :meth:`add_ops`'s rule for one key, without its op and list.
+        """
+        client, seq = key
+        run = self._runs.get(client)
+        if run is None:
+            self._runs[client] = run = [seq, seq]
+        elif seq != run[1]:
+            if run[0] <= seq < run[1] or key in self._sparse:
+                return False
+            self._sparse.add(key)
+            return True
+        seq += 1
+        sparse = self._sparse
+        while sparse and (client, seq) in sparse:
+            sparse.remove((client, seq))
+            seq += 1
+        run[1] = seq
+        return True
 
     def add_ops(self, ops) -> list[Operation]:
         """Insert every op's key, in order; the ops whose key was new.

@@ -11,24 +11,35 @@ protocol cores are reused unchanged.
   interleavings for integration tests).  Optional delay/loss knobs let
   tests exercise timeouts.
 * :class:`TcpNetwork` — length-prefixed frames over real sockets on
-  localhost, with payloads pickled (trusted, same-process test context
-  only).  Used by the TCP cluster example.
+  localhost, one connection per pair of endpoints that talk, dialled by
+  the pair's first send.  Used by the TCP cluster example.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pickle
+import logging
 import random
 import struct
 from typing import Any, Callable
 
-from repro.common.errors import NetworkError, UnknownPeer
+from repro.common import encoding
+from repro.common.errors import EncodingError, NetworkError, UnknownPeer
+from repro.network import codec
 from repro.network.message import Envelope, WireSizer
 from repro.network.stats import TrafficStats
 from repro.network.transport import DeliveryHandler, Transport
 
+log = logging.getLogger(__name__)
+
 _FRAME = struct.Struct(">I")
+# The dialler's first bytes: a magic and its endpoint id.
+_HELLO = struct.Struct(">4sq")
+_HELLO_MAGIC = b"MRLN"
+#: Largest frame body a :class:`TcpNetwork` reader accepts, checked before
+#: the body is read.  Real messages are far smaller: a 400-op block of
+#: 100-byte payloads encodes to about 55 KB.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 
 class AsyncioNetwork(Transport):
@@ -135,66 +146,59 @@ class AsyncioNetwork(Transport):
 
 
 class TcpNetwork(Transport):
-    """Length-prefixed frames over localhost TCP.
+    """One loopback TCP connection per pair of endpoints that talk.
 
-    Protocol messages travel in the canonical wire codec
-    (:mod:`repro.network.codec`); payload types without a codec fall back
-    to pickle (trusted, same-process test context only) — each frame is
-    tagged with its encoding.
+    :meth:`start` binds a server per registered endpoint on an OS-assigned
+    port (:meth:`port_of` reads it back); an endpoint registered later
+    binds its own.  The first :meth:`send` between two endpoints dials
+    them, buffering frames until the connection is up.  The dialler's
+    first bytes are a hello naming it, and the accepting side answers over
+    the same connection, so replicas reply to clients on the clients' own
+    connections and clients, which never talk to each other, never connect.
 
-    Call :meth:`start` to bind every registered endpoint's server, then
-    :meth:`connect_all` to dial the full mesh.  ``send`` before the dial
-    completes raises :class:`NetworkError`.  Endpoint ``i`` listens on
-    ``base_port + i``; with ``base_port=0`` the OS assigns every port and
-    :meth:`port_of` reads it back once :meth:`start` has bound it.
+    Frames are length-prefixed: protocol messages in the wire codec
+    (:mod:`repro.network.codec`), other payloads in the canonical encoding
+    (:mod:`repro.common.encoding`).  A frame above :data:`MAX_FRAME_BYTES`
+    or a body that does not decode closes its link only.
     """
 
-    def __init__(self, host: str = "127.0.0.1", base_port: int = 29000) -> None:
+    def __init__(self, host: str = "127.0.0.1", base_port: int = 0) -> None:
+        if base_port:
+            raise NetworkError("TcpNetwork binds OS-assigned ports; base_port must be 0")
         self._host = host
-        self._base_port = base_port
         self._handlers: dict[int, DeliveryHandler] = {}
-        self._servers: dict[int, asyncio.AbstractServer] = {}
+        self._servers: dict[int, asyncio.Task[asyncio.AbstractServer]] = {}
         self._writers: dict[tuple[int, int], asyncio.StreamWriter] = {}
-        self._reader_tasks: list[asyncio.Task[None]] = []
+        # Frames sent on a link whose dial is still in flight.
+        self._pending: dict[tuple[int, int], list[bytes]] = {}
+        self._tasks: set[asyncio.Task[None]] = set()
         self._started = False
 
     def port_of(self, endpoint: int) -> int:
-        """The port ``endpoint`` listens on (0 = any, before an OS-assigned bind)."""
+        """The port ``endpoint`` listens on (0 before its server is bound)."""
         server = self._servers.get(endpoint)
-        if server is not None:
-            return server.sockets[0].getsockname()[1]
-        return self._base_port + endpoint if self._base_port else 0
+        if server is None or not server.done():
+            return 0
+        return server.result().sockets[0].getsockname()[1]
 
     def register(self, endpoint: int, handler: DeliveryHandler) -> None:
         self._handlers[endpoint] = handler
+        if self._started and endpoint not in self._servers:
+            self._listen(endpoint)
 
     async def start(self) -> None:
         """Bind one TCP server per registered endpoint."""
-        for endpoint in self._handlers:
-            server = await asyncio.start_server(
-                lambda r, w, ep=endpoint: self._serve(ep, r, w),
-                self._host,
-                self.port_of(endpoint),
-            )
-            self._servers[endpoint] = server
         self._started = True
+        for endpoint in self._handlers:
+            self._listen(endpoint)
+        await asyncio.gather(*self._servers.values())
 
-    async def connect_all(self) -> None:
-        """Dial a connection for every ordered pair of endpoints."""
-        if not self._started:
-            raise NetworkError("start() must run before connect_all()")
-        for src in self._handlers:
-            for dst in self._handlers:
-                if src == dst:
-                    continue
-                reader, writer = await asyncio.open_connection(self._host, self.port_of(dst))
-                # First frame announces who we are.
-                hello = b"p" + pickle.dumps(("hello", src))
-                writer.write(_FRAME.pack(len(hello)) + hello)
-                await writer.drain()
-                self._writers[(src, dst)] = writer
-                # The dialled socket is write-only; dst reads on its server side.
-                _ = reader
+    def _listen(self, endpoint: int) -> None:
+        self._servers[endpoint] = asyncio.ensure_future(
+            asyncio.start_server(
+                lambda r, w, ep=endpoint: self._accept(ep, r, w), self._host, 0
+            )
+        )
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         if src == dst:
@@ -203,53 +207,111 @@ class TcpNetwork(Transport):
                 raise UnknownPeer(f"no endpoint {dst}")
             asyncio.get_event_loop().call_soon(handler, src, payload)
             return
-        writer = self._writers.get((src, dst))
-        if writer is None:
-            raise NetworkError(f"no connection {src}->{dst}; call connect_all() first")
         frame = self._encode_frame(payload)
-        writer.write(_FRAME.pack(len(frame)) + frame)
+        link = (src, dst)
+        writer = self._writers.get(link)
+        if writer is not None:
+            writer.write(frame)
+            return
+        pending = self._pending.get(link)
+        if pending is None:
+            if dst not in self._servers:
+                raise UnknownPeer(f"no listener for endpoint {dst}; call start() first")
+            pending = self._pending[link] = []
+            self._track(asyncio.ensure_future(self._dial(src, dst)))
+        pending.append(frame)
 
     @staticmethod
     def _encode_frame(payload: Any) -> bytes:
-        from repro.network import codec
-
         if codec.supports(payload):
-            return b"c" + codec.encode_message(payload)
-        return b"p" + pickle.dumps(("msg", payload))
+            body = b"c" + codec.encode_message(payload)
+        else:
+            body = b"e" + encoding.encode(payload)
+        if len(body) > MAX_FRAME_BYTES:
+            raise NetworkError(f"{len(body)}-byte frame exceeds the {MAX_FRAME_BYTES}-byte cap")
+        return _FRAME.pack(len(body)) + body
 
     @staticmethod
-    def _decode_frame(body: bytes) -> tuple[str, Any]:
-        from repro.network import codec
-
-        marker, rest = body[:1], body[1:]
+    def _decode_frame(body: bytes) -> Any:
+        marker = body[:1]
         if marker == b"c":
-            return "msg", codec.decode_message(rest)
-        return pickle.loads(rest)
+            return codec.decode_message(body[1:])
+        if marker == b"e":
+            return encoding.decode(body[1:])
+        raise EncodingError(f"unknown frame marker {marker!r}")
 
-    async def _serve(self, endpoint: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        peer: int | None = None
+    def _track(self, task: asyncio.Task[None]) -> None:
+        """Hold a link task until it ends, so :meth:`close` can cancel it."""
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _adopt(self, endpoint: int, peer: int, writer: asyncio.StreamWriter) -> None:
+        """Make ``writer`` the link ``endpoint -> peer`` unless one exists."""
+        link = (endpoint, peer)
+        if link not in self._writers:
+            self._writers[link] = writer
+            writer.writelines(self._pending.pop(link, ()))
+
+    async def _dial(self, src: int, dst: int) -> None:
         try:
+            await asyncio.shield(self._servers[dst])  # a late endpoint may still be binding
+            reader, writer = await asyncio.open_connection(self._host, self.port_of(dst))
+        except OSError as exc:
+            dropped = self._pending.pop((src, dst), ())
+            log.warning("dial %d->%d failed (%s); %d frames dropped", src, dst, exc, len(dropped))
+            return
+        writer.write(_HELLO.pack(_HELLO_MAGIC, src))
+        self._adopt(src, dst, writer)
+        await self._read(src, dst, reader, writer)
+
+    async def _accept(self, endpoint: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        self._track(asyncio.current_task())
+        await self._read(endpoint, None, reader, writer)
+
+    async def _read(
+        self, endpoint: int, peer: int | None, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Deliver ``peer``'s frames to ``endpoint`` until the link ends.
+
+        An accepted connection (``peer=None``) first reads the hello that
+        names the dialler and adopts the connection as the way back to it.
+        """
+        try:
+            if peer is None:
+                magic, peer = _HELLO.unpack(await reader.readexactly(_HELLO.size))
+                if magic != _HELLO_MAGIC:
+                    raise EncodingError("connection opened without a hello")
+                self._adopt(endpoint, peer, writer)
             while True:
-                header = await reader.readexactly(_FRAME.size)
-                (length,) = _FRAME.unpack(header)
-                body = await reader.readexactly(length)
-                kind, value = self._decode_frame(body)
-                if kind == "hello":
-                    peer = int(value)
-                elif kind == "msg":
-                    handler = self._handlers.get(endpoint)
-                    if handler is not None and peer is not None:
-                        handler(peer, value)
-        except (asyncio.IncompleteReadError, ConnectionResetError, asyncio.CancelledError):
+                (length,) = _FRAME.unpack(await reader.readexactly(_FRAME.size))
+                if length > MAX_FRAME_BYTES:
+                    raise EncodingError(f"{length}-byte frame exceeds the {MAX_FRAME_BYTES}-byte cap")
+                payload = self._decode_frame(await reader.readexactly(length))
+                try:
+                    self._handlers[endpoint](peer, payload)
+                except Exception:
+                    log.exception("endpoint %d failed on a message from %d", endpoint, peer)
+        except EncodingError as exc:
+            log.warning("link %d<-%s closed: %s", endpoint, peer, exc)
+        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
+            # Only close() cancels a link task, and an accepted link's task
+            # must end normally: asyncio's server callback reads its exception.
             pass
         finally:
+            if self._writers.get((endpoint, peer)) is writer:
+                del self._writers[(endpoint, peer)]
             writer.close()
 
     async def close(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
+        self._started = False
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
         self._writers.clear()
-        for server in self._servers.values():
+        self._pending.clear()
+        for bind in self._servers.values():
+            server = await bind
             server.close()
             await server.wait_closed()
         self._servers.clear()

@@ -77,7 +77,7 @@ class LocalCluster:
                 metrics=observability.net if observability is not None else None,
             )
         elif transport == "tcp":
-            self.network = TcpNetwork(base_port=29000 + seed % 1000 * 100)
+            self.network = TcpNetwork()
         else:
             raise ValueError(f"unknown transport {transport!r}")
         self._transport_kind = transport
@@ -115,7 +115,6 @@ class LocalCluster:
             )
         if isinstance(self.network, TcpNetwork):
             await self.network.start()
-            await self.network.connect_all()
         for node in self.nodes:
             node.start()
         self._started = True

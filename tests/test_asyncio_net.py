@@ -100,7 +100,6 @@ class TestTcpNetwork:
             net.register(0, lambda s, p: inbox.append((s, p)))
             net.register(1, lambda s, p: inbox.append((s, p)))
             await net.start()
-            await net.connect_all()
             net.send(0, 1, {"k": "v"})
             net.send(1, 0, [1, 2, 3])
             await asyncio.sleep(0.1)
@@ -126,7 +125,6 @@ class TestTcpNetwork:
             inbox: list[object] = []
             net.register(0, lambda s, p: inbox.append(p))
             await net.start()
-            await net.connect_all()
             net.send(0, 0, "loopback")
             await asyncio.sleep(0.05)
             await net.close()
@@ -141,7 +139,6 @@ class TestTcpNetwork:
             net.register(0, lambda s, p: None)
             net.register(1, lambda s, p: inbox.append(p))
             await net.start()
-            await net.connect_all()
             blob = b"z" * 1_000_000
             net.send(0, 1, blob)
             for _ in range(100):

@@ -146,6 +146,34 @@ class TestAddOps:
         assert len(keyset._runs) == 3 and not keyset._sparse
 
 
+class TestAddAgreesWithAddOps:
+    """``add`` re-implements ``add_ops``'s rule for one key; they agree."""
+
+    @staticmethod
+    def _agree(keys) -> None:
+        one, bulk = KeySet(), KeySet()
+        for key in keys:
+            assert one.add(key) == bool(bulk.add_ops([Operation(*key)])), key
+            assert one._runs == bulk._runs and one._sparse == bulk._sparse, key
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(0, 3), (0, 1), (0, 0), (0, 2), (1, 5), (1, 4)],  # out of order
+            [(0, 0), (0, 0), (0, 4), (0, 4), (0, 1), (0, 0), (0, 1)],  # repeats
+            [(0, 0), (0, 2), (0, 3), (0, 5), (0, 1), (0, 4), (0, 6)],  # sparse folds
+        ],
+        ids=["out-of-order", "repeats", "folds"],
+    )
+    def test_named_sequences(self, keys):
+        self._agree(keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(op_streams())
+    def test_generated_sequences(self, calls):
+        self._agree([op.key() for ops in calls for op in ops])
+
+
 # ---------------------------------------------------------------------------
 # Retention: the dedup state does not grow with the run's length
 

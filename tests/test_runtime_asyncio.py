@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import gc
+import os
+import socket
+import stat
 
 import pytest
 
+from repro.network import asyncio_net
 from repro.runtime.app import AppError, KVStateMachine
 from repro.runtime.cluster import LocalCluster
 from repro.storage.kvstore import KVStore
@@ -159,3 +164,93 @@ class TestTcpCluster:
                 await cluster.wait_for_height(1, timeout=20)
 
         run(main())
+
+    def test_seed_past_the_old_port_formula(self):
+        # 29000 + seed % 1000 * 100 put seed 400's ports above 65535.
+        async def main():
+            async with LocalCluster(f=1, protocol="marlin", transport="tcp", batch_size=4, seed=400) as cluster:
+                for i in range(4):
+                    await cluster.submit(b"")
+                await cluster.wait_for_height(1, timeout=20)
+
+        run(main())
+
+    def test_client_created_after_start_certifies(self):
+        async def main():
+            async with LocalCluster(f=1, protocol="marlin", transport="tcp") as cluster:
+                client = cluster.client()
+                certificate = await client.submit(KVStateMachine.encode_set(b"k", b"v"), timeout=20)
+                assert len(certificate.replicas) >= cluster.config.f + 1
+                assert client.session.retransmits == 0
+
+        run(main())
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts sockets via /proc")
+    def test_connections_only_between_endpoints_that_talk(self):
+        clients, replicas = 64, 4
+
+        async def main():
+            before = _tcp_connection_ends()
+            cluster = LocalCluster(f=1, protocol="marlin", transport="tcp", batch_size=64)
+            endpoints = [cluster.client() for _ in range(clients)]
+            async with cluster:
+                certificates = await asyncio.gather(
+                    *(
+                        client.submit(KVStateMachine.encode_set(b"key-%d" % i, b"v"), timeout=30)
+                        for i, client in enumerate(endpoints)
+                    )
+                )
+                # Both ends of every loopback connection live in this process.
+                connections = (_tcp_connection_ends() - before) // 2
+            assert all(len(c.replicas) >= cluster.config.f + 1 for c in certificates)
+            # Each client to each replica, each replica pair at most twice
+            # (both replicas may dial at once); never client to client.
+            assert connections <= clients * replicas + replicas * (replicas - 1)
+
+        run(main())
+
+    def test_bad_frames_close_only_their_link(self):
+        hello = asyncio_net._HELLO.pack(asyncio_net._HELLO_MAGIC, 999_999)  # names no endpoint
+        oversized = asyncio_net._FRAME.pack(asyncio_net.MAX_FRAME_BYTES + 1)
+        garbage = b"\xff" * 16
+        junk = [
+            hello + oversized + garbage,
+            hello + asyncio_net._FRAME.pack(len(garbage)) + garbage,
+            hello + asyncio_net._FRAME.pack(len(garbage) + 1) + b"c" + garbage,
+            garbage,  # no hello at all
+        ]
+
+        async def main():
+            reports: list[dict] = []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: reports.append(ctx))
+            async with LocalCluster(f=1, protocol="marlin", transport="tcp", batch_size=4) as cluster:
+                port = cluster.network.port_of(0)
+                for data in junk:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(data)
+                    # The replica reads the bad frame and hangs up.
+                    assert await asyncio.wait_for(reader.read(), 5) == b""
+                    writer.close()
+                for i in range(4):
+                    await cluster.submit(b"")
+                await cluster.wait_for_height(1, timeout=20)
+            gc.collect()
+            assert not reports, [ctx.get("message") for ctx in reports]
+
+        run(main())
+
+
+def _tcp_connection_ends() -> int:
+    """Connected IPv4 TCP sockets this process holds (listeners excluded)."""
+    ends = 0
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            if not stat.S_ISSOCK(os.fstat(int(name)).st_mode):
+                continue
+            with socket.socket(fileno=os.dup(int(name))) as sock:
+                if sock.family == socket.AF_INET and sock.type == socket.SOCK_STREAM:
+                    sock.getpeername()  # raises on listeners
+                    ends += 1
+        except OSError:
+            continue
+    return ends
