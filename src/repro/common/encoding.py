@@ -26,6 +26,16 @@ cost more than ``bytearray``'s amortised growth); see EXPERIMENTS.md.
 Output is byte-identical to the straightforward append-per-field
 encoder; the golden tests in ``tests/test_encoding.py`` pin that
 equivalence.
+
+The decoder mirrors it in one pass: the tag is read as an int, each
+fixed-width field with one ``unpack_from``, and the int, byte-string
+and string items of a list are decoded inline rather than by a
+recursive call.  A tag or field cut short surfaces as ``IndexError`` or
+``struct.error`` and is reported as ``EncodingError("truncated
+input")``; trailing bytes, nesting too deep to recurse, invalid UTF-8,
+dict keys that are not strings in strictly ascending order and unknown
+tags are all rejected.  ``tests/test_decoder_differential.py`` holds it
+to the recursive decoder it replaced.
 """
 
 from __future__ import annotations
@@ -54,12 +64,15 @@ _U32 = struct.Struct(">I")
 _TI64 = struct.Struct(">Bq")
 _THDR = struct.Struct(">BI")
 
-# Tag byte values for the fused writers.
+# Tag byte values for the fused writers and the decoder.
 _T_INT = _INT[0]
 _T_BYTES = _BYTES[0]
 _T_STR = _STR[0]
 _T_LIST = _LIST[0]
 _T_DICT = _DICT[0]
+_T_NONE = _NONE[0]
+_T_TRUE = _TRUE[0]
+_T_FALSE = _FALSE[0]
 
 
 def encode(value: Any) -> bytes:
@@ -190,7 +203,12 @@ def decode(data: bytes) -> Any:
     nesting too deep to decode included.
     """
     try:
-        value, offset = _decode_from(data, 0)
+        value, offset = _decode_at(data, 0)
+    except (IndexError, struct.error) as exc:
+        # A tag read past the end, or a fixed-width field cut short.
+        raise EncodingError("truncated input") from exc
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid UTF-8 in string") from exc
     except RecursionError as exc:
         raise EncodingError("value nested too deeply") from exc
     if offset != len(data):
@@ -198,62 +216,75 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
-    if offset >= len(data):
-        raise EncodingError("truncated input: missing tag")
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == _NONE:
-        return None, offset
-    if tag == _TRUE:
-        return True, offset
-    if tag == _FALSE:
-        return False, offset
-    if tag == _INT:
-        end = offset + 8
-        _check_len(data, end)
-        return _I64.unpack_from(data, offset)[0], end
-    if tag in (_BYTES, _STR):
-        _check_len(data, offset + 4)
-        length = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        end = offset + length
-        _check_len(data, end)
-        raw = data[offset:end]
-        if tag == _STR:
-            try:
-                return raw.decode("utf-8"), end
-            except UnicodeDecodeError as exc:
-                raise EncodingError("invalid UTF-8 in string") from exc
-        return raw, end
-    if tag == _LIST:
-        _check_len(data, offset + 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
-        items = []
+def _decode_at(
+    data: bytes,
+    offset: int,
+    _unpack_int=_I64.unpack_from,
+    _unpack_len=_U32.unpack_from,
+) -> tuple[Any, int]:
+    """Decode the value whose tag is at ``offset``; returns it and its end.
+
+    The mirror of :func:`_encode_into`: the tag is read as an int, fixed
+    fields with one ``unpack_from`` (a short buffer raises
+    ``struct.error``, a missing tag ``IndexError``; :func:`decode` maps
+    both to "truncated input"), and the int, byte-string and string
+    items of a list are decoded inline instead of by a recursive call.
+    """
+    tag = data[offset]
+    if tag == _T_LIST:
+        (count,) = _unpack_len(data, offset + 1)
+        offset += 5
+        size = len(data)
+        items: list[Any] = []
+        append = items.append
         for _ in range(count):
-            item, offset = _decode_from(data, offset)
-            items.append(item)
+            tag = data[offset]
+            if tag == _T_INT:
+                append(_unpack_int(data, offset + 1)[0])
+                offset += 9
+            elif tag == _T_BYTES or tag == _T_STR:
+                (length,) = _unpack_len(data, offset + 1)
+                start = offset + 5
+                offset = start + length
+                if offset > size:
+                    raise EncodingError("truncated input")
+                append(data[start:offset] if tag == _T_BYTES else data[start:offset].decode("utf-8"))
+            else:
+                item, offset = _decode_at(data, offset)
+                append(item)
         return items, offset
-    if tag == _DICT:
-        _check_len(data, offset + 4)
-        count = _U32.unpack_from(data, offset)[0]
-        offset += 4
+    if tag == _T_INT:
+        return _unpack_int(data, offset + 1)[0], offset + 9
+    if tag == _T_BYTES or tag == _T_STR:
+        (length,) = _unpack_len(data, offset + 1)
+        start = offset + 5
+        end = start + length
+        if end > len(data):
+            raise EncodingError("truncated input")
+        return (data[start:end] if tag == _T_BYTES else data[start:end].decode("utf-8")), end
+    if tag == _T_NONE:
+        return None, offset + 1
+    if tag == _T_TRUE:
+        return True, offset + 1
+    if tag == _T_FALSE:
+        return False, offset + 1
+    if tag == _T_DICT:
+        (count,) = _unpack_len(data, offset + 1)
+        offset += 5
         result: dict[str, Any] = {}
         previous_key: str | None = None
         for _ in range(count):
-            key, offset = _decode_from(data, offset)
-            if not isinstance(key, str):
+            if data[offset] != _T_STR:
                 raise EncodingError("dict key decoded to non-string")
+            (length,) = _unpack_len(data, offset + 1)
+            start = offset + 5
+            offset = start + length
+            if offset > len(data):
+                raise EncodingError("truncated input")
+            key = data[start:offset].decode("utf-8")
             if previous_key is not None and key <= previous_key:
                 raise EncodingError("dict keys not in canonical (sorted) order")
             previous_key = key
-            value, offset = _decode_from(data, offset)
-            result[key] = value
+            result[key], offset = _decode_at(data, offset)
         return result, offset
-    raise EncodingError(f"unknown tag byte {tag!r}")
-
-
-def _check_len(data: bytes, end: int) -> None:
-    if end > len(data):
-        raise EncodingError("truncated input")
+    raise EncodingError(f"unknown tag byte {bytes((tag,))!r}")
