@@ -46,12 +46,15 @@ class ClientConfig:
     #: Per-replica admission window, in weighted operations admitted but
     #: not yet committed.  ``None`` disables shedding.
     max_inflight: int | None = None
-    #: Leader-side intake coalescing window, seconds: individually
-    #: arriving client requests are pooled for this long before the next
-    #: proposal attempt (the standard batching timer), so a burst of
-    #: per-client sends forms the same blocks one aggregate batch would.
-    #: Must exceed the network's arrival-jitter spread, or one burst
-    #: splits across blocks and the population staggers permanently.
+    #: Leader-side intake coalescing window, simulated seconds:
+    #: individually arriving client requests are pooled for this long
+    #: before the next proposal attempt (the standard batching timer),
+    #: so a burst of per-client sends forms the same blocks one
+    #: aggregate batch would.  Must exceed the network's arrival-jitter
+    #: spread, or one burst splits across blocks and the population
+    #: staggers permanently.  The live asyncio runtime does not wait on
+    #: it: it proposes at the end of the event-loop pass that delivered
+    #: the burst.  0 proposes on every arrival in both.
     coalesce: float = 0.005
 
     def __post_init__(self) -> None:

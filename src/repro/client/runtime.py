@@ -22,6 +22,7 @@ import random
 from typing import Any, Callable
 
 from repro.client.config import ClientConfig
+from repro.client.service import SessionTable
 from repro.client.session import ClientSession
 from repro.consensus.context import NodeContext
 from repro.des.timers import TimerWheel
@@ -103,6 +104,12 @@ class LocalClient:
     submit/read calls: ``await client.submit(op)`` resolves with the
     reply certificate once ``f + 1`` matching replies arrived, ``await
     client.read(key)`` with the (certified or lease-served) value.
+
+    At most :attr:`SessionTable.DEPTH <repro.client.service.SessionTable.DEPTH>`
+    commit-path requests are outstanding; further calls wait for a free
+    slot.  A replica caches only that many of a client's replies, so a
+    request older than all of them could not be answered once its reply
+    was lost, and would be retransmitted until it timed out.
     """
 
     def __init__(
@@ -121,6 +128,9 @@ class LocalClient:
         self.client_id = client_id
         self.ctx = AsyncioContext(cluster.network, client_id, num_replicas)
         self._waiters: dict[int, asyncio.Future] = {}
+        self._slots = asyncio.Semaphore(SessionTable.DEPTH)
+        #: Sequences that hold one of ``_slots`` until they finish.
+        self._holding: set[int] = set()
         self.session = ClientSession(
             client_id,
             self.ctx,
@@ -135,17 +145,16 @@ class LocalClient:
         cluster.network.register(client_id, self.session.on_message)
 
     def _on_result(self, sequence: int, outcome: Any, latency: float) -> None:
+        if sequence in self._holding:
+            self._holding.discard(sequence)
+            self._slots.release()
         future = self._waiters.pop(sequence, None)
         if future is not None and not future.done():
             future.set_result((outcome, latency))
 
     async def submit(self, op: bytes, timeout: float = 30.0) -> Any:
         """Submit a write; returns its ReplyCertificate."""
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
-        sequence = self.session.submit(op)
-        self._waiters[sequence] = future
-        outcome, _ = await asyncio.wait_for(future, timeout)
-        return outcome
+        return await self._commit_path(lambda: self.session.submit(op), timeout)
 
     async def read(self, key: bytes, timeout: float = 30.0) -> Any:
         """Read a key via the configured read path; returns the outcome.
@@ -153,8 +162,29 @@ class LocalClient:
         ``reads="commit"`` resolves with the ReplyCertificate of the
         ordered ``get``; ``reads="leader-lease"`` with the value bytes.
         """
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
-        sequence = self.session.read(key)
+        if self.session.config.reads == "commit":
+            return await self._commit_path(lambda: self.session.read(key), timeout)
+        return await self._await(self.session.read(key), timeout)
+
+    async def _commit_path(self, issue: Callable[[], int], timeout: float) -> Any:
+        """Issue a commit-path request once a slot is free; await its outcome.
+
+        ``timeout`` covers the wait for the slot too.  The slot is held
+        until the session finishes the request, not until this call
+        gives up, since a timed-out request is still retransmitted.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        if self._slots.locked():  # a free slot skips wait_for's extra task
+            await asyncio.wait_for(self._slots.acquire(), timeout)
+        else:
+            await self._slots.acquire()
+        sequence = issue()
+        self._holding.add(sequence)
+        return await self._await(sequence, deadline - loop.time())
+
+    async def _await(self, sequence: int, timeout: float) -> Any:
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters[sequence] = future
         outcome, _ = await asyncio.wait_for(future, timeout)
         return outcome

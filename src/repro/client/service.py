@@ -137,7 +137,7 @@ class ClientService:
         self.inflight_weight = 0
         self._inflight: dict[tuple[int, int], int] = {}
 
-        #: True while the intake-coalescing proposal timer is armed.
+        #: True while the intake-coalescing proposal is pending.
         self._propose_armed = False
 
         # Leader-lease read state.
@@ -215,13 +215,15 @@ class ClientService:
         return False
 
     def schedule_propose(self) -> None:
-        """Debounced leader proposal after the coalescing window.
+        """Debounced leader proposal once the current burst is in.
 
         Per-client requests arrive as individual messages; proposing on
         the first one would split a burst (which an aggregate batch
         submission would keep together) across several small blocks.
-        Holding the proposal for ``config.coalesce`` seconds lets one
-        burst settle into the pool first — the classic batching timer.
+        The context's :meth:`~repro.consensus.context.NodeContext.coalesce`
+        decides when the burst has settled into the pool: the simulator
+        waits ``config.coalesce`` simulated seconds (the classic batching
+        timer), the live runtime proposes at the end of the loop pass.
         """
         if self._propose_armed:
             return
@@ -234,7 +236,7 @@ class ClientService:
             self._propose_armed = False
             self.replica._maybe_propose()
 
-        self.replica.ctx.set_timer(self.TIMER_COALESCE, self.config.coalesce, fire)
+        self.replica.ctx.coalesce(self.TIMER_COALESCE, self.config.coalesce, fire)
 
     def _send_cached_reply(self, request: ClientRequest) -> None:
         cached = self.sessions.cached_reply(request.client_id, request.sequence)

@@ -32,7 +32,8 @@ fixed-width field with one ``unpack_from``, and the int, byte-string
 and string items of a list are decoded inline rather than by a
 recursive call.  A tag or field cut short surfaces as ``IndexError`` or
 ``struct.error`` and is reported as ``EncodingError("truncated
-input")``; trailing bytes, nesting too deep to recurse, invalid UTF-8,
+input")``; trailing bytes, containers nested more than
+:data:`MAX_DECODE_DEPTH` deep, invalid UTF-8,
 dict keys that are not strings in strictly ascending order and unknown
 tags are all rejected.  ``tests/test_decoder_differential.py`` holds it
 to the recursive decoder it replaced.
@@ -73,6 +74,12 @@ _T_DICT = _DICT[0]
 _T_NONE = _NONE[0]
 _T_TRUE = _TRUE[0]
 _T_FALSE = _FALSE[0]
+
+#: Most containers a decoded value may nest.  An explicit count, not
+#: ``RecursionError``, so the verdict on given bytes does not depend on
+#: how deep in the stack the caller is.  The deepest codec message (an
+#: ``AggregateNewView``) nests 10.  The encoder has no limit.
+MAX_DECODE_DEPTH = 64
 
 
 def encode(value: Any) -> bytes:
@@ -200,17 +207,15 @@ def decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`encode`.
 
     Raises :class:`EncodingError` on malformed or trailing input,
-    nesting too deep to decode included.
+    containers nested deeper than :data:`MAX_DECODE_DEPTH` included.
     """
     try:
-        value, offset = _decode_at(data, 0)
+        value, offset = _decode_at(data, 0, 0)
     except (IndexError, struct.error) as exc:
         # A tag read past the end, or a fixed-width field cut short.
         raise EncodingError("truncated input") from exc
     except UnicodeDecodeError as exc:
         raise EncodingError("invalid UTF-8 in string") from exc
-    except RecursionError as exc:
-        raise EncodingError("value nested too deeply") from exc
     if offset != len(data):
         raise EncodingError(f"trailing bytes after value ({len(data) - offset} left)")
     return value
@@ -219,10 +224,14 @@ def decode(data: bytes) -> Any:
 def _decode_at(
     data: bytes,
     offset: int,
+    depth: int,
     _unpack_int=_I64.unpack_from,
     _unpack_len=_U32.unpack_from,
 ) -> tuple[Any, int]:
     """Decode the value whose tag is at ``offset``; returns it and its end.
+
+    ``depth`` counts the containers the value sits in; a list or dict
+    that would make it more than :data:`MAX_DECODE_DEPTH` is refused.
 
     The mirror of :func:`_encode_into`: the tag is read as an int, fixed
     fields with one ``unpack_from`` (a short buffer raises
@@ -232,6 +241,8 @@ def _decode_at(
     """
     tag = data[offset]
     if tag == _T_LIST:
+        if depth == MAX_DECODE_DEPTH:
+            raise EncodingError("value nested too deeply")
         (count,) = _unpack_len(data, offset + 1)
         offset += 5
         size = len(data)
@@ -250,7 +261,7 @@ def _decode_at(
                     raise EncodingError("truncated input")
                 append(data[start:offset] if tag == _T_BYTES else data[start:offset].decode("utf-8"))
             else:
-                item, offset = _decode_at(data, offset)
+                item, offset = _decode_at(data, offset, depth + 1)
                 append(item)
         return items, offset
     if tag == _T_INT:
@@ -269,6 +280,8 @@ def _decode_at(
     if tag == _T_FALSE:
         return False, offset + 1
     if tag == _T_DICT:
+        if depth == MAX_DECODE_DEPTH:
+            raise EncodingError("value nested too deeply")
         (count,) = _unpack_len(data, offset + 1)
         offset += 5
         result: dict[str, Any] = {}
@@ -285,6 +298,6 @@ def _decode_at(
             if previous_key is not None and key <= previous_key:
                 raise EncodingError("dict keys not in canonical (sorted) order")
             previous_key = key
-            result[key], offset = _decode_at(data, offset)
+            result[key], offset = _decode_at(data, offset, depth + 1)
         return result, offset
     raise EncodingError(f"unknown tag byte {bytes((tag,))!r}")

@@ -9,6 +9,13 @@ talks to a :class:`NodeContext`.  Three implementations exist:
 * :class:`LocalContext` (below) — a synchronous, zero-delay context for
   unit tests: sends append to an outbox the test inspects, timers are
   manual.
+
+Besides named timers, a context offers :meth:`NodeContext.coalesce`:
+run a callback once the current burst of deliveries has arrived.  Its
+default arms a named timer for the given window, which is what the DES
+contexts and :class:`LocalContext` do; ``AsyncioContext`` instead runs
+the callback at the end of the current event-loop pass, after every
+frame that pass delivered.
 """
 
 from __future__ import annotations
@@ -43,6 +50,15 @@ class NodeContext(ABC):
 
     @abstractmethod
     def cancel_timer(self, name: str) -> None: ...
+
+    def coalesce(self, name: str, window: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the current burst of deliveries is in.
+
+        By default that is ``window`` seconds later, through the named
+        timer, so ``cancel_timer(name)`` stops it.  A runtime that can
+        tell when a burst has been delivered may run it sooner.
+        """
+        self.set_timer(name, window, callback)
 
     @abstractmethod
     def charge(self, seconds: float) -> None:

@@ -2,11 +2,12 @@
 
 :class:`AsyncioContext` satisfies the sans-io
 :class:`~repro.consensus.context.NodeContext` contract with
-``loop.call_later`` timers and a real transport.  :class:`Node` bundles a
-protocol replica with the storage stack the paper's evaluation used:
-committed blocks go to the from-scratch KV store, a
-:class:`~repro.storage.checkpoint.CheckpointManager` trims history, and a
-:class:`~repro.runtime.app.KVStateMachine` executes operations.
+``loop.call_later`` timers, end-of-pass coalescing and a real transport.
+:class:`Node` bundles a protocol replica with the storage stack the
+paper's evaluation used: committed blocks go to the from-scratch KV
+store, a :class:`~repro.storage.checkpoint.CheckpointManager` trims
+history, and a :class:`~repro.runtime.app.KVStateMachine` executes
+operations.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class AsyncioContext(NodeContext):
         self._transport = transport
         self._id = replica_id
         self._n = num_replicas
-        self._timers: dict[str, asyncio.TimerHandle] = {}
+        self._timers: dict[str, asyncio.Handle] = {}
         self._loop = asyncio.get_event_loop()
 
     @property
@@ -57,6 +58,18 @@ class AsyncioContext(NodeContext):
     def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
         self.cancel_timer(name)
         self._timers[name] = self._loop.call_later(delay, callback)
+
+    def coalesce(self, name: str, window: float, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the end of this loop pass, not after ``window``.
+
+        ``call_soon`` queues it behind every callback the current
+        ``select`` made ready, so it runs after all the frames that pass
+        delivered: the burst is in without waiting on the wall clock.
+        The handle is kept under ``name``, so ``cancel_timer`` and
+        ``cancel_all`` stop it like a timer.
+        """
+        self.cancel_timer(name)
+        self._timers[name] = self._loop.call_soon(callback)
 
     def cancel_timer(self, name: str) -> None:
         handle = self._timers.pop(name, None)

@@ -1,10 +1,12 @@
 """Checksummed append-only write-ahead log.
 
 Record framing: ``[4-byte length][4-byte CRC32][payload]``.  Replay stops
-cleanly at the first torn or corrupt record (the crash-recovery contract:
-a partially written tail record is discarded, everything before it is
-intact).  Backed by a real file when given a path, or by an in-memory
-buffer for simulations and tests.
+cleanly at the first torn or corrupt record and cuts the log back to the
+end of the last intact one (the crash-recovery contract: a partially
+written tail record is discarded, everything before it is intact, and
+records appended afterwards follow intact data, so the next replay
+reaches them).  Backed by a real file when given a path, or by an
+in-memory buffer for simulations and tests.
 """
 
 from __future__ import annotations
@@ -56,21 +58,26 @@ class WriteAheadLog:
         """Yield every intact record from the start of the log.
 
         Stops (without raising) at the first truncated or corrupt record,
-        mirroring standard WAL recovery semantics.
+        mirroring standard WAL recovery semantics, and truncates the log
+        there: appends go to the end of the file, so a torn record left
+        in place would hide every record written after it.
         """
         self._check_open()
         self._file.seek(0)
+        intact_end = 0
         while True:
             header = self._file.read(_HEADER.size)
-            if len(header) < _HEADER.size:
+            if not header:
                 return
+            if len(header) < _HEADER.size:
+                break
             length, crc = _HEADER.unpack(header)
             payload = self._file.read(length)
-            if len(payload) < length:
-                return
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-                return
+            if len(payload) < length or (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+                break
+            intact_end += _HEADER.size + length
             yield payload
+        self._file.truncate(intact_end)
 
     def truncate(self) -> None:
         """Discard all records (after a checkpoint has superseded them)."""

@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.encoding import decode, encode
+from repro.common.encoding import MAX_DECODE_DEPTH, decode, encode
 from repro.common.errors import EncodingError
 
 
@@ -137,6 +137,55 @@ class TestErrors:
         swapped = good[:5] + b_first + a_first
         with pytest.raises(EncodingError):
             decode(swapped)
+
+
+def _nested(depth: int, innermost) -> object:
+    value = innermost
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _verdict(data: bytes, frames_down: int = 0):
+    """Decode ``data`` with ``frames_down`` extra frames on the stack."""
+    if frames_down:
+        return _verdict(data, frames_down - 1)
+    try:
+        return decode(data)
+    except EncodingError as exc:
+        return str(exc)
+
+
+class TestNestingLimit:
+    """The nesting limit is a count, not the caller's stack headroom."""
+
+    @pytest.mark.parametrize("kind", ["list", "dict"])
+    @pytest.mark.parametrize("depth", [MAX_DECODE_DEPTH, MAX_DECODE_DEPTH + 1])
+    def test_same_verdict_at_top_level_and_200_frames_down(self, kind, depth):
+        if kind == "list":
+            value = _nested(depth, 7)
+        else:
+            value = 7
+            for _ in range(depth):
+                value = {"k": value}
+        data = encode(value)
+        top = _verdict(data)
+        assert _verdict(data, frames_down=200) == top
+        if depth <= MAX_DECODE_DEPTH:
+            assert top == value
+        else:
+            assert top == "value nested too deeply"
+
+    def test_innermost_empty_container_counts(self):
+        assert decode(encode(_nested(MAX_DECODE_DEPTH - 1, []))) == _nested(
+            MAX_DECODE_DEPTH - 1, []
+        )
+        with pytest.raises(EncodingError, match="nested too deeply"):
+            decode(encode(_nested(MAX_DECODE_DEPTH, [])))
+
+    def test_900_deep_list_is_refused_everywhere(self):
+        data = encode(_nested(900, None))
+        assert _verdict(data) == _verdict(data, frames_down=200) == "value nested too deeply"
 
 
 class TestGoldenFastPath:

@@ -3,9 +3,14 @@ crash recovery, and a hypothesis model check against a plain dict."""
 
 from __future__ import annotations
 
+import os
+import struct
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.encoding import encode
 from repro.common.errors import StorageError, StoreClosed
 from repro.storage.kvstore import KVStore
 
@@ -172,6 +177,46 @@ class TestPersistence:
 
         run_files = [f for f in os.listdir(directory) if f.endswith(".sst")]
         assert len(run_files) == 1
+
+
+class TestDamagedWalTail:
+    """Writes made after recovering past a damaged WAL tail survive."""
+
+    @staticmethod
+    def _store_with_tail(tmp_path, tail: bytes) -> str:
+        directory = str(tmp_path / "db")
+        store = KVStore(directory=directory)
+        store.put(b"a", b"1")
+        store.put(b"b", b"2")
+        store.close()
+        with open(os.path.join(directory, "wal.log"), "ab") as wal:
+            wal.write(tail)
+        return directory
+
+    def _check_later_writes_recover(self, directory: str) -> None:
+        store = KVStore(directory=directory)
+        assert store.get(b"a") == b"1"
+        assert store.get(b"b") == b"2"
+        store.put(b"c", b"3")
+        store.close()
+        reopened = KVStore(directory=directory)
+        assert reopened.get(b"a") == b"1"
+        assert reopened.get(b"b") == b"2"
+        assert reopened.get(b"c") == b"3"
+        reopened.close()
+
+    def test_put_after_torn_record_survives_reopen(self, tmp_path):
+        # A crash mid-append: a header and half of its payload.
+        record = encode([b"z", b"26"])
+        torn = struct.pack(">II", len(record), zlib.crc32(record)) + record[:3]
+        self._check_later_writes_recover(self._store_with_tail(tmp_path, torn))
+
+    def test_put_after_corrupt_crc_survives_reopen(self, tmp_path):
+        record = encode([b"z", b"26"])
+        corrupt = struct.pack(">II", len(record), zlib.crc32(record) ^ 1) + record
+        self._check_later_writes_recover(self._store_with_tail(tmp_path, corrupt))
+        with KVStore(directory=str(tmp_path / "db")) as store:
+            assert store.get(b"z") is None
 
 
 _ops = st.lists(

@@ -50,6 +50,27 @@ def test_eight_concurrent_writes_certify_without_a_retransmit():
         )
 
 
+def test_forty_concurrent_writes_wait_for_a_cached_reply_slot():
+    """A client keeps at most ``SessionTable.DEPTH`` writes in flight."""
+
+    async def main():
+        async with LocalCluster(f=1, protocol="marlin", batch_size=64) as cluster:
+            client = cluster.client()
+            certificates = await asyncio.gather(
+                *(
+                    client.submit(KVStateMachine.encode_set(b"k%d" % i, b"v%d" % i), timeout=30)
+                    for i in range(40)
+                )
+            )
+            return client, certificates
+
+    client, certificates = run(main())
+    assert [c.sequence for c in certificates] == list(range(1, 41))
+    assert client.session.certified == 40
+    assert client.session.retransmits == 0
+    assert client.session._window <= SessionTable.DEPTH
+
+
 def test_concurrent_commit_reads_each_certify_the_stored_value():
     async def main():
         config = ClientConfig(mode="real", reads="commit")

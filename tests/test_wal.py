@@ -91,3 +91,19 @@ class TestOnDisk:
             assert list(wal.replay()) == [b"a"]
             wal.append(b"b")
             assert list(wal.replay()) == [b"a", b"b"]
+
+    def test_append_after_torn_tail_replays(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        with WriteAheadLog(path) as wal:
+            wal.append(b"good")
+            wal.append(b"torn")
+            wal.sync()
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 2)
+        with WriteAheadLog(path) as wal:
+            assert list(wal.replay()) == [b"good"]
+            assert wal.size_bytes() == 8 + len(b"good")
+            wal.append(b"later")
+            wal.sync()
+        with WriteAheadLog(path) as wal:
+            assert list(wal.replay()) == [b"good", b"later"]
