@@ -303,10 +303,11 @@ class ReplyForger(Strategy):
     def outbound(self, now: float, dst: int, payload: Any, send: Send) -> None:
         if isinstance(payload, ClientReply):
             forged_digest = bytes(b ^ 0xFF for b in payload.result_digest) or b"\xff" * 32
-            send(
-                dst,
-                replace(payload, result=b"forged", result_digest=forged_digest),
+            forged = ClientReply(
+                payload.client_id, payload.sequence, payload.replica, b"forged",
+                forged_digest, payload.view, payload.weight, payload.reply_size,
             )
+            send(dst, forged)
         else:
             send(dst, payload)
 

@@ -306,24 +306,50 @@ class StateTransferResponse:
         return total
 
 
-@dataclass(frozen=True)
-class ClientRequest:
+class _SlottedMessage:
+    """A frozen dataclass's ``==``, hash, repr and pickling, over ``_FIELDS``."""
+
+    __slots__ = ()
+    _FIELDS: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class ClientRequest(_SlottedMessage):
     """A client operation on its way to the leader.
 
     ``weight`` mirrors :class:`~repro.consensus.block.Operation.weight`:
     one request object can stand for ``weight`` lockstep clients (the
     token-scaling device), and its wire size scales accordingly so the
     bandwidth model sees the same bytes as ``weight`` individual sends.
+
+    Slotted like :class:`~repro.consensus.block.Operation`: every live op
+    builds some, and a frozen dataclass pays an ``object.__setattr__`` per field.
     """
 
-    client_id: int
-    sequence: int
-    payload: bytes
-    weight: int = 1
+    __slots__ = ("client_id", "sequence", "payload", "weight", "wire_size")
+    _FIELDS = __slots__[:-1]
 
-    @property
-    def wire_size(self) -> int:
-        return self.weight * (16 + len(self.payload))
+    def __init__(self, client_id: int, sequence: int, payload: bytes, weight: int = 1) -> None:
+        self.client_id, self.sequence = client_id, sequence
+        self.payload, self.weight = payload, weight
+        self.wire_size = weight * (16 + len(payload))
 
 
 @dataclass(frozen=True)
@@ -379,30 +405,31 @@ class ReplyBatch:
         return 40 + self.num_ops * (24 + self.reply_size)
 
 
-@dataclass(frozen=True)
-class ClientReply:
+class ClientReply(_SlottedMessage):
     """A replica's reply to a committed client operation.
 
     Carries the triple the client certificate is built from —
     ``(sequence, result_digest)`` plus the replica's current ``view`` so
     the client's leader tracker learns about view changes from ordinary
     replies.  ``weight``/``reply_size`` scale the wire size for token
-    clients exactly like :class:`ReplyBatch` does per op.
+    clients exactly like :class:`ReplyBatch` does per op.  Slotted like
+    :class:`ClientRequest`.
     """
 
-    client_id: int
-    sequence: int
-    replica: int
-    result: bytes = b""
-    result_digest: bytes = b""
-    view: int = 1
-    weight: int = 1
-    reply_size: int = 0
+    __slots__ = (
+        "client_id", "sequence", "replica", "result", "result_digest",
+        "view", "weight", "reply_size", "wire_size",
+    )
+    _FIELDS = __slots__[:-1]
 
-    @property
-    def wire_size(self) -> int:
-        per_reply = 24 + max(self.reply_size, len(self.result) + len(self.result_digest))
-        return self.weight * per_reply
+    def __init__(
+        self, client_id: int, sequence: int, replica: int, result: bytes = b"",
+        result_digest: bytes = b"", view: int = 1, weight: int = 1, reply_size: int = 0,
+    ) -> None:
+        self.client_id, self.sequence, self.replica = client_id, sequence, replica
+        self.result, self.result_digest, self.view = result, result_digest, view
+        self.weight, self.reply_size = weight, reply_size
+        self.wire_size = weight * (24 + max(reply_size, len(result) + len(result_digest)))
 
 
 @dataclass(frozen=True)

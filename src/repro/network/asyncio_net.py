@@ -21,7 +21,7 @@ import asyncio
 import logging
 import random
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.common import encoding
 from repro.common.errors import EncodingError, NetworkError, UnknownPeer
@@ -201,15 +201,28 @@ class TcpNetwork(Transport):
             asyncio.get_event_loop().call_soon(handler, src, payload)
             return
         frame = self._encode_frame(payload)
-        link = self._links.get((src, dst))
-        if link is None:
-            if dst not in self._servers:
-                raise UnknownPeer(f"no listener for endpoint {dst}; call start() first")
-            link = self._links[(src, dst)] = _Link(self, src, dst)
-            dial = asyncio.ensure_future(self._dial(link))
-            self._dials.add(dial)
-            dial.add_done_callback(self._dials.discard)
-        link.write(frame)
+        (self._links.get((src, dst)) or self._connect(src, dst)).write(frame)
+
+    def broadcast(self, src: int, dsts: Iterable[int], payload: Any) -> None:
+        """Send ``payload`` to every endpoint in ``dsts``, encoding it once."""
+        frame = None
+        for dst in dsts:
+            if dst == src:
+                self.send(src, dst, payload)
+                continue
+            if frame is None:
+                frame = self._encode_frame(payload)
+            (self._links.get((src, dst)) or self._connect(src, dst)).write(frame)
+
+    def _connect(self, src: int, dst: int) -> _Link:
+        """The link ``src`` writes to ``dst`` on, dialled by this first send."""
+        if dst not in self._servers:
+            raise UnknownPeer(f"no listener for endpoint {dst}; call start() first")
+        link = self._links[(src, dst)] = _Link(self, src, dst)
+        dial = asyncio.ensure_future(self._dial(link))
+        self._dials.add(dial)
+        dial.add_done_callback(self._dials.discard)
+        return link
 
     @staticmethod
     def _encode_frame(payload: Any) -> bytes:

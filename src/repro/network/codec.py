@@ -23,6 +23,9 @@ observability's sake.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable
 
 from repro.common.encoding import decode, encode
@@ -318,36 +321,10 @@ _register(
     ),
 )
 _register(
-    "clientreq",
-    ClientRequest,
-    lambda m: [m.client_id, m.sequence, m.payload, m.weight],
-    lambda d: ClientRequest(
-        client_id=d[0], sequence=d[1], payload=d[2], weight=d[3]
-    ),
-)
-_register(
     "clientreqbatch",
     ClientRequestBatch,
     lambda m: [[_enc_op(op) for op in m.operations]],
     lambda d: ClientRequestBatch(operations=tuple(_dec_op(op) for op in d[0])),
-)
-_register(
-    "clientreply",
-    ClientReply,
-    lambda m: [
-        m.client_id, m.sequence, m.replica, m.result,
-        m.result_digest, m.view, m.weight, m.reply_size,
-    ],
-    lambda d: ClientReply(
-        client_id=d[0],
-        sequence=d[1],
-        replica=d[2],
-        result=d[3],
-        result_digest=d[4],
-        view=d[5],
-        weight=d[6],
-        reply_size=d[7],
-    ),
 )
 _register(
     "replybatch",
@@ -400,6 +377,82 @@ _register(
 )
 
 
+# ------------------------------------------------------- fused per-op frames
+# Most live frames are a ClientRequest or a ClientReply: packed by one struct
+# per payload size, unpacked by fixed structs, into the canonical ``[tag,
+# fields]`` of the getters registered here.  No generic decoder has their tags.
+_ENCODERS[ClientRequest] = ("clientreq", attrgetter(*ClientRequest._FIELDS))
+_ENCODERS[ClientReply] = ("clientreply", attrgetter(*ClientReply._FIELDS))
+_L, _I, _B = b"lib"
+_REQUEST_PREFIX = encode(["clientreq", []])[:-5]  # up to the field list
+_REPLY_PREFIX = encode(["clientreply", []])[:-5]
+_REQUEST_HEAD = struct.Struct(">BIBqBqBI")  # list header, 2 ints, bytes header
+_REPLY_HEAD = struct.Struct(">BIBqBqBqBI")  # list header, 3 ints, bytes header
+_BYTES_HEAD = struct.Struct(">BI")
+_WEIGHT = struct.Struct(">Bq")
+_REPLY_TAIL = struct.Struct(">BqBqBq")
+_REQUEST_BODY = len(_REQUEST_PREFIX) + _REQUEST_HEAD.size
+_REPLY_BODY = len(_REPLY_PREFIX) + _REPLY_HEAD.size
+_REQUEST_LAYOUT = f">{len(_REQUEST_PREFIX)}sBIBqBqBI%dsBq"
+_REPLY_LAYOUT = f">{len(_REPLY_PREFIX)}sBIBqBqBqBI%dsBI%dsBqBqBq"
+
+
+# Whole-frame ``pack`` by payload size(s); a hit costs no Python call.
+_request_pack = lru_cache(64)(lambda size: struct.Struct(_REQUEST_LAYOUT % size).pack)
+_reply_pack = lru_cache(64)(lambda sizes: struct.Struct(_REPLY_LAYOUT % sizes).pack)
+
+
+def _encode_request(m: ClientRequest) -> bytes:
+    return _request_pack(len(m.payload))(
+        _REQUEST_PREFIX, _L, 4, _I, m.client_id, _I, m.sequence,
+        _B, len(m.payload), m.payload, _I, m.weight,
+    )
+
+
+def _encode_reply(m: ClientReply) -> bytes:
+    result, digest = m.result, m.result_digest
+    return _reply_pack((len(result), len(digest)))(
+        _REPLY_PREFIX, _L, 8, _I, m.client_id, _I, m.sequence, _I, m.replica,
+        _B, len(result), result, _B, len(digest), digest,
+        _I, m.view, _I, m.weight, _I, m.reply_size,
+    )
+
+
+def _decode_request(data: bytes) -> ClientRequest:
+    try:
+        tl, n, t1, client_id, t2, sequence, t3, size = _REQUEST_HEAD.unpack_from(
+            data, len(_REQUEST_PREFIX)
+        )
+        end = _REQUEST_BODY + size
+        t4, weight = _WEIGHT.unpack_from(data, end)
+    except struct.error as exc:
+        raise EncodingError("truncated client request") from exc
+    if (tl, n, t1, t2, t3, t4) != (_L, 4, _I, _I, _B, _I) or end + _WEIGHT.size != len(data):
+        raise EncodingError("malformed client request")
+    return ClientRequest(client_id, sequence, data[_REQUEST_BODY:end], weight)
+
+
+def _decode_reply(data: bytes) -> ClientReply:
+    try:
+        tl, n, t1, client_id, t2, sequence, t3, replica, t4, size = (
+            _REPLY_HEAD.unpack_from(data, len(_REPLY_PREFIX))
+        )
+        mid = _REPLY_BODY + size
+        t5, digest_size = _BYTES_HEAD.unpack_from(data, mid)
+        end = mid + _BYTES_HEAD.size + digest_size
+        t6, view, t7, weight, t8, reply_size = _REPLY_TAIL.unpack_from(data, end)
+    except struct.error as exc:
+        raise EncodingError("truncated client reply") from exc
+    tags = (tl, n, t1, t2, t3, t4, t5, t6, t7, t8)
+    if tags != (_L, 8, _I, _I, _I, _B, _B, _I, _I, _I) or end + _REPLY_TAIL.size != len(data):
+        raise EncodingError("malformed client reply")
+    result, digest = data[_REPLY_BODY:mid], data[mid + _BYTES_HEAD.size : end]
+    return ClientReply(client_id, sequence, replica, result, digest, view, weight, reply_size)
+
+
+_FUSED_ENCODERS = {ClientRequest: _encode_request, ClientReply: _encode_reply}
+
+
 # ------------------------------------------------- public object helpers
 # (used by the runtime's durable-state persistence)
 
@@ -447,6 +500,12 @@ def encode_message(payload: Any) -> bytes:
 
     Raises :class:`EncodingError` for unsupported types.
     """
+    fused = _FUSED_ENCODERS.get(type(payload))
+    if fused is not None:
+        try:
+            return fused(payload)
+        except struct.error as exc:
+            raise EncodingError(f"cannot encode {payload!r}: {exc}") from exc
     entry = _ENCODERS.get(type(payload))
     if entry is None:
         raise EncodingError(f"no codec for {type(payload).__name__}")
@@ -462,6 +521,10 @@ def decode_message(data: bytes) -> Any:
     negative block height, a string where an int belongs) is chained as
     the cause.
     """
+    if data.startswith(_REQUEST_PREFIX):
+        return _decode_request(data)
+    if data.startswith(_REPLY_PREFIX):
+        return _decode_reply(data)
     try:
         tag, body = decode(data)
         dec = _DECODERS.get(tag)

@@ -32,7 +32,10 @@ class AppError(ReproError):
 
 
 class KVStateMachine:
-    """Deterministic KV application; optionally persists via a KVStore."""
+    """Deterministic KV application; optionally persists via a KVStore.
+
+    Writes are only staged in the store's batch; its owner writes the batch.
+    """
 
     def __init__(self, store: KVStore | None = None) -> None:
         self._state: dict[bytes, bytes] = {}
@@ -77,7 +80,7 @@ class KVStateMachine:
         elif verb == "del" and len(command) == 2:
             self._state.pop(command[1], None)
             if self._store is not None:
-                self._store.delete(b"app:" + command[1])
+                self._store.stage(b"app:" + command[1], None)
         elif verb == "add" and len(command) == 3:
             current = int.from_bytes(self._state.get(command[1], b"\0" * 8), "big", signed=True)
             updated = current + int(command[2])
@@ -93,7 +96,7 @@ class KVStateMachine:
     def _write(self, key: bytes, value: bytes) -> None:
         self._state[key] = value
         if self._store is not None:
-            self._store.put(b"app:" + key, value)
+            self._store.stage(b"app:" + key, value)
 
     def get(self, key: bytes) -> bytes | None:
         return self._state.get(key)

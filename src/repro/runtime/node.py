@@ -18,7 +18,7 @@ from typing import Any, Callable
 from repro.client.config import ClientConfig
 from repro.client.service import ClientService
 from repro.common.config import ClusterConfig
-from repro.common.encoding import encode
+from repro.common.encoding import decode, encode
 from repro.consensus.block import Block
 from repro.consensus.context import NodeContext
 from repro.consensus.crypto_service import CryptoService
@@ -27,6 +27,7 @@ from repro.consensus.marlin.replica import MarlinReplica
 from repro.consensus.messages import StateTransferRequest, StateTransferResponse
 from repro.consensus.pipeline import PipelineConfig
 from repro.consensus.replica_base import ReplicaBase
+from repro.network import codec
 from repro.network.transport import Transport
 from repro.runtime.app import KVStateMachine
 from repro.storage.blockstore import BlockStore
@@ -52,8 +53,7 @@ class AsyncioContext(NodeContext):
         self._transport.send(self._id, dst, payload)
 
     def broadcast(self, payload: Any) -> None:
-        for dst in range(self._n):
-            self._transport.send(self._id, dst, payload)
+        self._transport.broadcast(self._id, range(self._n), payload)
 
     def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
         self.cancel_timer(name)
@@ -82,12 +82,6 @@ class AsyncioContext(NodeContext):
 
     def charge(self, seconds: float) -> None:
         """Wall-clock runtime: CPU time is real, nothing to account."""
-
-
-def _serialize_block(block: Block) -> bytes:
-    from repro.network import codec
-
-    return codec.encode_block(block)
 
 
 class Node:
@@ -130,11 +124,13 @@ class Node:
                 observability.replica_obs(replica_id, self.replica.protocol_name)
             )
         self.kv = KVStore(directory=data_dir)
-        self.blockstore = BlockStore(kv=self.kv, serializer=_serialize_block)
+        self.blockstore = BlockStore(kv=self.kv, serializer=codec.encode_block)
         self.app = KVStateMachine(store=self.kv)
         self.checkpoints = CheckpointManager(
             interval=config.checkpoint_interval, blockstore=self.blockstore, kv=self.kv
         )
+        # First listener: a block is on disk before any reply for it leaves.
+        self.replica.commit_listeners.append(self._persist_commit)
         # The client service wraps the application executor: it runs
         # app.apply under the ledger's exactly-once guard, caches the
         # reply per client session, and answers retransmits from that
@@ -146,7 +142,6 @@ class Node:
             read_fn=lambda key: self.app.get(key) or b"",
         ).install()
         self.replica.ledger.set_executor(self.client_service.execute)
-        self.replica.commit_listeners.append(self._persist_commit)
         self.alive = True
         self._recovered_view: int | None = None
         self._awaiting_state_transfer = False
@@ -214,10 +209,9 @@ class Node:
             self.blockstore.add(block)
         self.replica.ledger.install_snapshot(head)
         self.app.install_entries(response.app_entries)
-        for key, value in response.app_entries:
-            self.kv.put(b"app:" + key, value)
-        self.kv.put(b"meta:committed_height", str(head.height).encode())
-        self.kv.put(b"chain:%012d" % head.height, head.digest)
+        self.kv.stage(b"meta:committed_height", str(head.height).encode())
+        self.kv.stage(b"chain:%012d" % head.height, head.digest)
+        self.kv.write_batch()
         self.commit_event.set()
 
     def request_state_transfer(self) -> None:
@@ -229,26 +223,27 @@ class Node:
                 self.ctx.send(peer, request)
 
     def _persist_commit(self, block: Block, when: float) -> None:
+        """Group commit: the block, its height and chain keys, the consensus
+        state and the writes its execution staged go out as one WAL record
+        with one flush to the OS, before any reply for the block."""
         self.blockstore.add(block)
-        self.kv.put(b"meta:committed_height", str(block.height).encode())
-        self.kv.put(b"chain:%012d" % block.height, block.digest)
+        self.kv.stage(b"meta:committed_height", str(block.height).encode())
+        self.kv.stage(b"chain:%012d" % block.height, block.digest)
         self._persist_consensus_state()
+        self.kv.write_batch()
         self.checkpoints.on_commit(block, block.height)
         self.commit_event.set()
 
     # ------------------------------------------------------- durability
 
     def _persist_consensus_state(self) -> None:
-        """Write the consensus-critical variables for crash recovery.
+        """Stage the consensus-critical variables in the block's batch.
 
-        Persisted at commit time: a replica restarting from this state
-        rejoins at its last committed view.  (Votes between the last
-        commit and the crash are not persisted — the recovering replica
-        may re-enter a view it voted in, which is safe for crash faults;
-        Byzantine-proof restart would persist before every vote.)
+        A replica restarting from this state rejoins at its last committed
+        view.  Votes are not persisted yet: one cast after the last commit
+        is lost, so a recovering replica may vote twice in a view, which is
+        safe for crash faults only; persisting before every vote is open.
         """
-        from repro.network import codec
-
         replica = self.replica
         if hasattr(replica, "last_voted"):
             state = [
@@ -265,7 +260,7 @@ class Node:
                 codec.encode_qc(replica.prepare_qc),
                 codec.encode_qc(replica.locked_qc),
             ]
-        self.kv.put(b"meta:consensus", encode(state))
+        self.kv.stage(b"meta:consensus", encode(state))
 
     def _recover(self) -> bool:
         """Rebuild replica state from the KV store; True if restored.
@@ -274,9 +269,6 @@ class Node:
         have pruned history, in which case recovery falls back to a fresh
         start — state transfer from peers then happens via block sync).
         """
-        from repro.common.encoding import decode
-        from repro.network import codec
-
         height_raw = self.kv.get(b"meta:committed_height")
         state_raw = self.kv.get(b"meta:consensus")
         if height_raw is None or state_raw is None:
@@ -310,6 +302,7 @@ class Node:
                 replica.tree.add(block)
                 self.blockstore.add(block)
                 replica.ledger.mark_committed(block)
+        self.kv.write_batch()  # the recovered blocks, staged again above
         self.app.load_from_store()
         state = decode(state_raw)
         if state[0] == "marlin":

@@ -4,8 +4,8 @@ The block store is deliberately generic: it stores any object exposing a
 ``digest`` (bytes) and a ``parent_link`` (bytes or None), so it does not
 depend on the consensus package.  Objects live in an in-memory index; when
 constructed over a :class:`~repro.storage.kvstore.KVStore` each insert is
-also persisted (what the paper's evaluation calls "writing data into the
-database rather than into memory").
+also staged in the store's batch for its owner to write (what the paper's
+evaluation calls "writing data into the database rather than into memory").
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class BlockStore:
             return
         self._blocks[digest] = block
         if self._kv is not None and self._serializer is not None:
-            self._kv.put(b"block:" + digest, self._serializer(block))
+            self._kv.stage(b"block:" + digest, self._serializer(block))
 
     def get(self, digest: bytes) -> StorableBlock | None:
         return self._blocks.get(digest)
@@ -92,5 +92,7 @@ class BlockStore:
         for digest in doomed:
             del self._blocks[digest]
             if self._kv is not None:
-                self._kv.delete(b"block:" + digest)
+                self._kv.stage(b"block:" + digest, None)
+        if self._kv is not None:
+            self._kv.write_batch()
         return len(doomed)

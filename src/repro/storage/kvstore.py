@@ -2,7 +2,8 @@
 
 Architecture, a deliberately faithful miniature of LevelDB:
 
-* writes go to the WAL first, then to an in-memory **memtable** (a dict);
+* writes are staged in a batch and an in-memory **memtable** (a dict); the
+  batch goes to the WAL as one record (``put``/``delete`` are batches of one);
 * when the memtable exceeds ``memtable_limit`` bytes it is frozen into an
   immutable **sorted run** (newest first) and the WAL is truncated;
 * reads consult the memtable, then runs newest-to-oldest; a tombstone
@@ -77,6 +78,8 @@ class KVStore:
         self._compaction_trigger = compaction_trigger
         self._next_run_id = 0
         self._closed = False
+        #: ``[key, value-or-None]`` pairs staged for the next WAL record.
+        self._batch: list[list[bytes | None]] = []
         self._stats = {"puts": 0, "gets": 0, "deletes": 0, "freezes": 0, "compactions": 0}
         self._load_runs()
         self.recover()
@@ -84,15 +87,30 @@ class KVStore:
     # ------------------------------------------------------------- public
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Durably write ``key -> value``."""
+        """Durably write ``key -> value``, with anything already staged."""
+        self.stage(key, value)
+        self.write_batch()
+
+    def stage(self, key: bytes, value: bytes | None) -> None:
+        """Add ``key -> value`` (None deletes) to the batch; reads see it at once."""
         self._check_open()
         self._validate_key(key)
-        if value.startswith(_TOMBSTONE):
+        if value is not None and value.startswith(_TOMBSTONE):
             raise StorageError("value collides with tombstone marker")
-        self._wal.append(encode([key, value]))
-        self._insert(key, value)
-        self._stats["puts"] += 1
-        self._maybe_freeze()
+        self._insert(key, _TOMBSTONE if value is None else value)
+        self._stats["deletes" if value is None else "puts"] += 1
+        self._batch.append([key, value])
+
+    def write_batch(self) -> None:
+        """Append the staged writes to the WAL as one record, flushed to the OS.
+
+        Recovery drops a torn record whole, so a batch is atomic.  No ``fsync``.
+        """
+        self._check_open()
+        if self._batch:
+            self._wal.append(encode(self._batch))
+            self._batch = []
+            self._maybe_freeze()
 
     def get(self, key: bytes) -> bytes | None:
         """Read the newest value for ``key`` or None if absent/deleted."""
@@ -110,12 +128,8 @@ class KVStore:
 
     def delete(self, key: bytes) -> None:
         """Delete ``key`` (tombstone; space reclaimed at compaction)."""
-        self._check_open()
-        self._validate_key(key)
-        self._wal.append(encode([key, None]))
-        self._insert(key, _TOMBSTONE)
-        self._stats["deletes"] += 1
-        self._maybe_freeze()
+        self.stage(key, None)
+        self.write_batch()
 
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -155,8 +169,8 @@ class KVStore:
                 self._persist_run(self._runs[0])
 
     def flush(self) -> None:
-        """Freeze the memtable unconditionally (exposed for checkpoints)."""
-        self._check_open()
+        """Write the batch, then freeze the memtable (exposed for checkpoints)."""
+        self.write_batch()
         if self._memtable:
             self._freeze()
 
@@ -164,8 +178,8 @@ class KVStore:
         """Replay the WAL into the memtable (crash recovery)."""
         self._check_open()
         for record in self._wal.replay():
-            key, value = decode(record)
-            self._insert(key, _TOMBSTONE if value is None else value)
+            for key, value in decode(record):
+                self._insert(key, _TOMBSTONE if value is None else value)
 
     @property
     def stats(self) -> dict[str, int]:
@@ -177,6 +191,7 @@ class KVStore:
 
     def close(self) -> None:
         if not self._closed:
+            self.write_batch()
             self._wal.sync() if self._dir else None
             self._wal.close()
             self._closed = True

@@ -40,12 +40,15 @@ class WriteAheadLog:
         return self._path
 
     def append(self, record: bytes) -> None:
-        """Append one record; framing and checksum are added here."""
+        """Append one record, framed and checksummed, and flush it to the OS.
+
+        It then survives the process dying; :meth:`sync` adds an ``fsync``.
+        """
         self._check_open()
         crc = zlib.crc32(record) & 0xFFFFFFFF
         self._file.seek(0, os.SEEK_END)
-        self._file.write(_HEADER.pack(len(record), crc))
-        self._file.write(record)
+        self._file.write(_HEADER.pack(len(record), crc) + record)
+        self._file.flush()
 
     def sync(self) -> None:
         """Flush to the OS (and disk where applicable)."""
