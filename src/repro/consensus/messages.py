@@ -307,7 +307,11 @@ class StateTransferResponse:
 
 
 class _SlottedMessage:
-    """A frozen dataclass's ``==``, hash, repr and pickling, over ``_FIELDS``."""
+    """A frozen dataclass's ``==``, hash, repr and pickling, over ``_FIELDS``.
+
+    Not frozen, like :class:`~repro.consensus.block.Operation`: assigning a
+    field after construction leaves ``wire_size`` stale and changes the hash.
+    """
 
     __slots__ = ()
     _FIELDS: tuple[str, ...] = ()

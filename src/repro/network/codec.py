@@ -24,7 +24,6 @@ observability's sake.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -378,9 +377,9 @@ _register(
 
 
 # ------------------------------------------------------- fused per-op frames
-# Most live frames are a ClientRequest or a ClientReply: packed by one struct
-# per payload size, unpacked by fixed structs, into the canonical ``[tag,
-# fields]`` of the getters registered here.  No generic decoder has their tags.
+# Most live frames are a ClientRequest or a ClientReply: packed and unpacked
+# by the fixed structs below into the canonical ``[tag, fields]`` of the
+# getters registered here.  No generic decoder has their tags.
 _ENCODERS[ClientRequest] = ("clientreq", attrgetter(*ClientRequest._FIELDS))
 _ENCODERS[ClientReply] = ("clientreply", attrgetter(*ClientReply._FIELDS))
 _L, _I, _B = b"lib"
@@ -393,29 +392,21 @@ _WEIGHT = struct.Struct(">Bq")
 _REPLY_TAIL = struct.Struct(">BqBqBq")
 _REQUEST_BODY = len(_REQUEST_PREFIX) + _REQUEST_HEAD.size
 _REPLY_BODY = len(_REPLY_PREFIX) + _REPLY_HEAD.size
-_REQUEST_LAYOUT = f">{len(_REQUEST_PREFIX)}sBIBqBqBI%dsBq"
-_REPLY_LAYOUT = f">{len(_REPLY_PREFIX)}sBIBqBqBqBI%dsBI%dsBqBqBq"
-
-
-# Whole-frame ``pack`` by payload size(s); a hit costs no Python call.
-_request_pack = lru_cache(64)(lambda size: struct.Struct(_REQUEST_LAYOUT % size).pack)
-_reply_pack = lru_cache(64)(lambda sizes: struct.Struct(_REPLY_LAYOUT % sizes).pack)
 
 
 def _encode_request(m: ClientRequest) -> bytes:
-    return _request_pack(len(m.payload))(
-        _REQUEST_PREFIX, _L, 4, _I, m.client_id, _I, m.sequence,
-        _B, len(m.payload), m.payload, _I, m.weight,
-    )
+    payload = m.payload
+    head = _REQUEST_HEAD.pack(_L, 4, _I, m.client_id, _I, m.sequence, _B, len(payload))
+    return _REQUEST_PREFIX + head + payload + _WEIGHT.pack(_I, m.weight)
 
 
 def _encode_reply(m: ClientReply) -> bytes:
     result, digest = m.result, m.result_digest
-    return _reply_pack((len(result), len(digest)))(
-        _REPLY_PREFIX, _L, 8, _I, m.client_id, _I, m.sequence, _I, m.replica,
-        _B, len(result), result, _B, len(digest), digest,
-        _I, m.view, _I, m.weight, _I, m.reply_size,
+    head = _REPLY_HEAD.pack(
+        _L, 8, _I, m.client_id, _I, m.sequence, _I, m.replica, _B, len(result)
     )
+    tail = _REPLY_TAIL.pack(_I, m.view, _I, m.weight, _I, m.reply_size)
+    return _REPLY_PREFIX + head + result + _BYTES_HEAD.pack(_B, len(digest)) + digest + tail
 
 
 def _decode_request(data: bytes) -> ClientRequest:
@@ -504,7 +495,7 @@ def encode_message(payload: Any) -> bytes:
     if fused is not None:
         try:
             return fused(payload)
-        except struct.error as exc:
+        except (struct.error, TypeError) as exc:
             raise EncodingError(f"cannot encode {payload!r}: {exc}") from exc
     entry = _ENCODERS.get(type(payload))
     if entry is None:

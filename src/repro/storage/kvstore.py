@@ -178,7 +178,10 @@ class KVStore:
         """Replay the WAL into the memtable (crash recovery)."""
         self._check_open()
         for record in self._wal.replay():
-            for key, value in decode(record):
+            pairs = decode(record)
+            if pairs and not isinstance(pairs[0], list):
+                raise StorageError("WAL predates batch records: wipe the data directory")
+            for key, value in pairs:
                 self._insert(key, _TOMBSTONE if value is None else value)
 
     @property

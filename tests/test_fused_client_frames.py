@@ -1,7 +1,7 @@
 """The fused ``ClientRequest``/``ClientReply`` frames against the generic codec.
 
 The wire codec packs and unpacks the two per-op messages with
-precompiled structs.  Their bytes must be exactly the canonical encoding
+fixed structs.  Their bytes must be exactly the canonical encoding
 of ``[tag, fields]`` that the generic path produced, for any field
 values; decoding must round-trip; and bytes that are not such a frame
 (every truncated prefix, a trailing byte, a wrong tag on any field,
@@ -133,6 +133,19 @@ def test_random_bit_flips_decode_or_raise_encoding_error(m, data):
     ],
 )
 def test_out_of_range_int_is_an_encoding_error(m):
+    with pytest.raises(EncodingError):
+        encode_message(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        ClientRequest(client_id=1, sequence=0, payload="text"),
+        ClientReply(client_id=1, sequence=2, replica=3, result="text"),
+        ClientReply(client_id=1, sequence=2, replica=3, result_digest="d" * 32),
+    ],
+)
+def test_a_str_where_bytes_belong_is_an_encoding_error(m):
     with pytest.raises(EncodingError):
         encode_message(m)
 

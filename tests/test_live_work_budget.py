@@ -33,8 +33,8 @@ import repro
 RECORDED_ON = (3, 11)
 
 #: Ceiling on Python calls per measured op, per transport: the measured
-#: count plus under 2 % headroom.  Recorded at 1161.3 and 647.7; 1114.0
-#: and 572.8 once the per-op frames are fused, the per-op messages
+#: count plus under 2 % headroom.  Recorded at 1161.3 and 647.7; 1114.2
+#: and 573.0 once the per-op frames are fused, the per-op messages
 #: slotted, a broadcast encoded once and a block written as one WAL record.
 CEILINGS = {
     "queue": 1136.0,

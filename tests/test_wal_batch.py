@@ -14,8 +14,11 @@ from __future__ import annotations
 import asyncio
 import os
 
+import pytest
+
 from repro.common.config import ClusterConfig
-from repro.common.encoding import decode
+from repro.common.encoding import decode, encode
+from repro.common.errors import StorageError
 from repro.consensus.block import Operation, genesis_block, make_child
 from repro.consensus.crypto_service import ThresholdCryptoService
 from repro.crypto.hashing import digest_of
@@ -82,6 +85,17 @@ class TestRecordFormat:
         with KVStore(directory=str(tmp_path)) as kv:
             assert kv.get(b"before") == b"1" and kv.get(b"after") == b"2"
             assert kv.get(b"x") is None
+
+    def test_single_pair_records_are_refused_in_words(self, tmp_path):
+        # Logs written before batch records held one bare [key, value] per
+        # record; keys of 2 bytes used to unpack into two ints.
+        for key in (b"ab", b"key"):
+            directory = str(tmp_path / key.decode())
+            os.makedirs(directory)
+            with WriteAheadLog(os.path.join(directory, "wal.log")) as wal:
+                wal.append(encode([key, b"v"]))
+            with pytest.raises(StorageError, match="predates batch records"):
+                KVStore(directory=directory)
 
 
 def _node(data_dir: str, checkpoint_interval: int = 5000) -> Node:
