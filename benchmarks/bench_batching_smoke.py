@@ -119,7 +119,7 @@ def asyncio_before_after() -> tuple[dict, dict]:
     before = asyncio.run(_asyncio_run(None))
     after = asyncio.run(
         asyncio.wait_for(
-            _asyncio_run(PipelineConfig(verifier="threads", verifier_workers=4)),
+            _asyncio_run(PipelineConfig()),
             timeout=120.0,
         )
     )

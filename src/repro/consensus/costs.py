@@ -112,10 +112,11 @@ class PaperCostModel(ZeroCostModel):
     def verify_votes_batch(self, count: int) -> float:
         """Verify ``count`` vote shares in one batched call.
 
-        Real implementations push a quorum of share verifications onto a
-        ``cores``-wide verifier pool and pay one dispatch overhead, so the
-        per-share cost is divided by the core count — the amortisation
-        batching exists to buy.
+        Charges the paper's Go machine, which spreads a quorum of share
+        verifications across its ``cores`` cores for one dispatch
+        overhead, so the per-share cost is divided by the core count —
+        the amortisation batching exists to buy.  The replicas here verify
+        a batch in one aggregate check; only the charge models the cores.
         """
         if count <= 0:
             return 0.0

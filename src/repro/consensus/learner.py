@@ -101,9 +101,6 @@ class LearnerReplica:
         if handler is not None:
             handler(src, payload)
 
-    def close(self) -> None:
-        """Nothing to release; mirrors the ReplicaBase lifecycle."""
-
     # ------------------------------------------------------------- echoes
 
     def _on_commit_echo(self, src: int, echo: CommitEcho) -> None:

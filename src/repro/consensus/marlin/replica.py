@@ -492,7 +492,6 @@ class MarlinReplica(ReplicaBase):
         self._verified_blocks.add(block.digest)
         self._outstanding_prepare = block.digest
         self.stats["proposals_sent"] += 1
-        self._note_proposed(block.digest)
         self.obs.block_proposed(block.digest, self.cview, block.height)
         self.obs.ops_proposed(block)
         self.obs.phase_begin(block.digest, "prepare", self.cview, block.height)

@@ -1,4 +1,4 @@
-"""Hot-path batching and pipelining knobs (off by default).
+"""Hot-path batching and pipelining (off by default).
 
 Marlin's linear authenticator complexity puts signature work on the hot
 path: the leader verifies a quorum of vote shares per phase and every
@@ -6,25 +6,21 @@ replica verifies the QCs riding in each message.  This module holds the
 machinery that amortises that work, mirroring the engineering HotStuff
 and Fast-HotStuff deployments rely on for their throughput numbers:
 
-* :class:`PipelineConfig` — one frozen knob bundle threaded from the
-  runtimes down to the replicas.  ``None`` (the default everywhere)
-  reproduces the unbatched per-item behaviour exactly.
+* :class:`PipelineConfig` — the switch threaded from the runtimes down to
+  the replicas.  ``None`` (the default everywhere) reproduces the
+  unbatched per-item behaviour exactly; a ``PipelineConfig()`` turns on
+  vote batching, speculative proposals and the QC cache charge.
 * :class:`VoteBatchGate` — buffers unverified vote shares per
   ``(phase, view, block)`` until a quorum's worth arrive, batch-verifies
   them in one aggregate check, and drops post-quorum stragglers without
   verifying them at all.
-* :class:`AdaptiveBatchController` — nudges ``BatchPool.max_batch`` to
-  keep commit latency inside a target band, using the commit-latency
-  signal the PR-1 metrics layer already records.
 
 Everything here is deterministic: the gate releases votes in a canonical
-order and the controller is pure arithmetic, so the DES stays
-reproducible with pipelining enabled.
+order, so the DES stays reproducible with pipelining enabled.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -32,46 +28,18 @@ from repro.consensus.qc import BlockSummary, Phase
 
 if TYPE_CHECKING:
     from repro.consensus.crypto_service import CryptoService
-    from repro.crypto.verifier_pool import VerifierPool
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Batching/pipelining switches for one replica.
+    """Turns on batching and pipelining for one replica.
 
-    Passing ``None`` instead of a config (the default) keeps the replica
-    on the seed behaviour: per-vote verification, no speculation, fixed
-    batch size.
+    It has no fields: passing a config instead of ``None`` (the default)
+    makes the leader buffer vote shares and verify a quorum in one
+    aggregate check, speculatively build the next block while the QC
+    forms, and charge cached QCs at lookup cost.  ``None`` keeps the
+    seed behaviour: per-vote verification, no speculation.
     """
-
-    #: Buffer vote shares and verify a quorum in one aggregate check.
-    batch_votes: bool = True
-    #: Leader speculatively builds the next block while the QC forms.
-    speculative_proposals: bool = True
-    #: Let commit latency drive ``BatchPool.max_batch``.
-    adaptive_batch: bool = False
-    #: (low, high) commit-latency band the adaptive controller targets.
-    target_latency: tuple[float, float] = (0.2, 0.8)
-    #: Adaptive controller never shrinks the batch below this.
-    min_batch: int = 100
-    #: Adaptive controller never grows the batch beyond this (None = the
-    #: replica's configured batch size).
-    max_batch: int | None = None
-    #: Verifier pool kind: "inline" (DES-safe) or "threads" (asyncio).
-    verifier: str = "inline"
-    #: Worker count for the "threads" verifier pool.
-    verifier_workers: int = 4
-
-    def for_des(self) -> "PipelineConfig":
-        """The same config with the verifier forced inline.
-
-        The discrete-event simulator must never touch real threads:
-        verification cost is charged through the cost model and execution
-        order must stay deterministic.
-        """
-        if self.verifier == "inline":
-            return self
-        return dataclasses.replace(self, verifier="inline")
 
 
 @dataclass(frozen=True)
@@ -115,47 +83,18 @@ class VoteBatchGate:
     formation — the same robustness the per-item path has.
     """
 
-    def __init__(
-        self,
-        crypto: "CryptoService",
-        quorum: int,
-        pool: "VerifierPool | None" = None,
-    ) -> None:
+    def __init__(self, crypto: "CryptoService", quorum: int) -> None:
         self._crypto = crypto
         self._quorum = quorum
-        self._pool = pool
         self._targets: dict[tuple[Phase, int, bytes], _GateTarget] = {}
         #: Total shares dropped unverified after their QC formed.
         self.dropped_late = 0
         #: Total shares rejected by batch verification.
         self.rejected = 0
 
-    #: Minimum shares per worker before fanning out to threads: smaller
-    #: batches stay on the calling thread in one aggregate check, since
-    #: splitting a quorum-sized batch into single-share chunks would undo
-    #: the amortisation (and pay thread handoff on top).
-    MIN_CHUNK = 4
-
     def _verify(self, votes: list[Any]) -> list[int]:
-        """Batch-verify, fanning chunks across the worker pool if present.
-
-        The inline pool (and the no-pool DES path) runs the single
-        aggregate check on the calling thread; a thread pool splits the
-        batch into per-worker chunks so the asyncio runtime does the
-        signature math off the protocol thread across real cores.
-        """
-        workers = getattr(self._pool, "workers", 1)
-        if self._pool is None or workers <= 1 or len(votes) < 2 * self.MIN_CHUNK:
-            return self._crypto.verify_votes(votes)
-        size = -(-len(votes) // workers)  # ceil division
-        chunks = [votes[i : i + size] for i in range(0, len(votes), size)]
-        results = self._pool.map(self._crypto.verify_votes, chunks)
-        bad: list[int] = []
-        offset = 0
-        for chunk, chunk_bad in zip(chunks, results):
-            bad.extend(offset + index for index in chunk_bad)
-            offset += len(chunk)
-        return bad
+        """Indices of the shares in ``votes`` that fail the aggregate check."""
+        return self._crypto.verify_votes(votes)
 
     def admit(
         self,
@@ -205,52 +144,3 @@ class VoteBatchGate:
         stale = [key for key in self._targets if key[1] <= view]
         for key in stale:
             del self._targets[key]
-
-
-class AdaptiveBatchController:
-    """Keeps commit latency in a target band by resizing the batch cap.
-
-    An EMA of observed proposal→commit latency drives a multiplicative
-    controller: above the band the batch shrinks (×0.8) so blocks clear
-    the pipe faster; below it the batch grows (×1.25) to amortise more
-    signature work per QC.  Clamped to ``[min_batch, cap]``.
-    """
-
-    SHRINK = 0.8
-    GROW = 1.25
-    ALPHA = 0.3
-
-    def __init__(
-        self,
-        band: tuple[float, float],
-        min_batch: int,
-        cap: int,
-        metric: Any | None = None,
-    ) -> None:
-        low, high = band
-        if not 0 < low < high:
-            raise ValueError(f"need 0 < low < high, got {band}")
-        if not 1 <= min_batch <= cap:
-            raise ValueError(f"need 1 <= min_batch <= cap, got {min_batch}, {cap}")
-        self.band = band
-        self.min_batch = min_batch
-        self.cap = cap
-        self.ema: float | None = None
-        self._metric = metric
-
-    def observe(self, latency: float, current: int) -> int:
-        """Fold in one commit latency; returns the new batch cap."""
-        self.ema = (
-            latency
-            if self.ema is None
-            else self.ALPHA * latency + (1 - self.ALPHA) * self.ema
-        )
-        low, high = self.band
-        if self.ema > high:
-            current = int(current * self.SHRINK)
-        elif self.ema < low:
-            current = int(current * self.GROW) or 1
-        current = max(self.min_batch, min(self.cap, current))
-        if self._metric is not None:
-            self._metric.set(current)
-        return current

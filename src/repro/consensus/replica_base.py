@@ -36,10 +36,9 @@ from repro.consensus.messages import (
     SyncRequest,
     SyncResponse,
 )
-from repro.consensus.pipeline import AdaptiveBatchController, PipelineConfig, VoteBatchGate
+from repro.consensus.pipeline import PipelineConfig, VoteBatchGate
 from repro.consensus.qc import BlockSummary, Phase, QuorumCertificate, genesis_qc
 from repro.consensus.votes import VoteCollector
-from repro.crypto.verifier_pool import VerifierPool, make_verifier_pool
 from repro.obs.log import replica_logger
 from repro.obs.observer import NULL_OBS, NullReplicaObs
 
@@ -83,27 +82,12 @@ class ReplicaBase(ABC):
 
         # Batching/pipelining state; all of it is inert when ``pipeline``
         # is None (the default), which reproduces the seed behaviour.
-        self._vote_gate: VoteBatchGate | None = None
-        self._verifier_pool: VerifierPool | None = None
-        self._batch_controller: AdaptiveBatchController | None = None
+        self._vote_gate: VoteBatchGate | None = (
+            None if pipeline is None else VoteBatchGate(crypto, config.quorum)
+        )
         #: (block, justify_digest, staged_epoch) of the speculatively
         #: built next proposal, or None.
         self._speculative: tuple[Block, bytes, int] | None = None
-        self._proposed_at: dict[bytes, float] = {}
-        if pipeline is not None:
-            self._verifier_pool = make_verifier_pool(
-                pipeline.verifier, pipeline.verifier_workers
-            )
-            if pipeline.batch_votes:
-                self._vote_gate = VoteBatchGate(
-                    crypto, config.quorum, pool=self._verifier_pool
-                )
-            if pipeline.adaptive_batch:
-                self._batch_controller = AdaptiveBatchController(
-                    band=pipeline.target_latency,
-                    min_batch=min(pipeline.min_batch, config.batch_size),
-                    cap=pipeline.max_batch or config.batch_size,
-                )
 
         self.cview = 0
         self.current_timeout = config.base_timeout
@@ -351,12 +335,6 @@ class ReplicaBase(ABC):
             )
         self.pool.forget(block.operations)
         now = self.ctx.now
-        if self._batch_controller is not None:
-            proposed = self._proposed_at.pop(block.digest, None)
-            if proposed is not None:
-                self.pool.max_batch = self._batch_controller.observe(
-                    now - proposed, self.pool.max_batch
-                )
         for listener in self.commit_listeners:
             listener(block, now)
         if self.config.learners:
@@ -475,15 +453,6 @@ class ReplicaBase(ABC):
 
     # -------------------------------------------------- pipelining helpers
 
-    def _note_proposed(self, digest: bytes) -> None:
-        """Record proposal time so commit latency can drive batch sizing."""
-        if self._batch_controller is not None:
-            self._proposed_at[digest] = self.ctx.now
-            if len(self._proposed_at) > 1024:
-                # Blocks abandoned by view changes never commit; bound the map.
-                oldest = next(iter(self._proposed_at))
-                del self._proposed_at[oldest]
-
     def _stage_next(self, proposed: Block, qc: QuorumCertificate) -> None:
         """Speculatively build the next block while ``proposed``'s QC forms.
 
@@ -493,7 +462,7 @@ class ReplicaBase(ABC):
         (batch, links, justify digest) during the vote round trip.
         ``qc`` is the justify ``proposed`` itself was built on.
         """
-        if self.pipeline is None or not self.pipeline.speculative_proposals:
+        if self.pipeline is None:
             return
         self._drop_speculation()
         batch = self.pool.stage()
@@ -545,8 +514,3 @@ class ReplicaBase(ABC):
         if self._speculative is not None:
             self._speculative = None
             self.pool.unstage()
-
-    def close(self) -> None:
-        """Release resources (verifier pool workers)."""
-        if self._verifier_pool is not None:
-            self._verifier_pool.close()

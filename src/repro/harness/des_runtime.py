@@ -172,9 +172,7 @@ class DESCluster:
                     "Payloads priced at the default size because no wire sizer matched",
                 )
             )
-        # The simulator must never see real threads: force the inline
-        # verifier so determinism and the cost-model accounting hold.
-        self.pipeline = pipeline.for_des() if pipeline is not None else None
+        self.pipeline = pipeline
         if use_cost_model:
             self.costs: ZeroCostModel = PaperCostModel(
                 experiment.machine, scheme=self.crypto.scheme, quorum=cluster.quorum

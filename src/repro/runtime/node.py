@@ -293,16 +293,15 @@ class Node:
                 return False
             for block in blocks:
                 replica.tree.add(block)
-                self.blockstore.add(block)
+                self.blockstore.index(block)
             replica.ledger.install_snapshot(blocks[0])
             for block in blocks[1:]:
                 replica.ledger.mark_committed(block)
         else:
             for block in blocks:
                 replica.tree.add(block)
-                self.blockstore.add(block)
+                self.blockstore.index(block)
                 replica.ledger.mark_committed(block)
-        self.kv.write_batch()  # the recovered blocks, staged again above
         self.app.load_from_store()
         state = decode(state_raw)
         if state[0] == "marlin":
@@ -327,7 +326,6 @@ class Node:
 
     def stop(self) -> None:
         self.ctx.cancel_all()
-        self.replica.close()
         self.kv.close()
 
     def crash(self) -> None:

@@ -49,6 +49,10 @@ class BlockStore:
         if self._kv is not None and self._serializer is not None:
             self._kv.stage(b"block:" + digest, self._serializer(block))
 
+    def index(self, block: StorableBlock) -> None:
+        """Insert a block read back from the store, without staging it again."""
+        self._blocks.setdefault(block.digest, block)
+
     def get(self, digest: bytes) -> StorableBlock | None:
         return self._blocks.get(digest)
 

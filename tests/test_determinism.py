@@ -65,7 +65,7 @@ class TestPipelinedDeterminism:
         assert run_once(17, pipeline=pipeline) == run_once(17, pipeline=pipeline)
 
     def test_pipelined_across_protocols(self):
-        pipeline = PipelineConfig(adaptive_batch=True)
+        pipeline = PipelineConfig()
         for protocol in ("hotstuff", "chained-marlin"):
             assert run_once(5, protocol, pipeline) == run_once(5, protocol, pipeline)
 
@@ -80,9 +80,3 @@ class TestPipelinedDeterminism:
             )
             traces.append(obs.tracer.chrome_trace())
         assert traces[0] == traces[1]
-
-    def test_threads_verifier_forced_inline_in_des(self):
-        # A config asking for real threads must still be deterministic in
-        # the DES (DESCluster forces the verifier inline via for_des()).
-        pipeline = PipelineConfig(verifier="threads", verifier_workers=8)
-        assert run_once(11, pipeline=pipeline) == run_once(11, pipeline=pipeline)

@@ -1,4 +1,4 @@
-"""The hot-path pipelining machinery: gate, staging, adaptive control.
+"""The hot-path pipelining machinery: the vote gate and batch staging.
 
 Unit-level coverage of :mod:`repro.consensus.pipeline` and the
 :class:`~repro.consensus.block.BatchPool` staging extensions, plus one
@@ -14,19 +14,10 @@ import pytest
 from repro.common.config import ClusterConfig, ExperimentConfig
 from repro.consensus.block import BatchPool, Operation
 from repro.consensus.crypto_service import NullCryptoService, ThresholdCryptoService
-from repro.consensus.pipeline import (
-    AdaptiveBatchController,
-    PipelineConfig,
-    VoteBatchGate,
-)
+from repro.consensus.pipeline import PipelineConfig, VoteBatchGate
 from repro.consensus.qc import BlockSummary, Phase
 from repro.crypto.hashing import digest_of
 from repro.crypto.keys import KeyRegistry
-from repro.crypto.verifier_pool import (
-    InlineVerifierPool,
-    ThreadVerifierPool,
-    make_verifier_pool,
-)
 from repro.harness.des_runtime import DESCluster
 from repro.harness.workload import ClosedLoopClients
 
@@ -37,9 +28,9 @@ def summary(tag: str = "block", view: int = 1) -> BlockSummary:
     return BlockSummary(digest=digest_of([tag, view]), view=view, height=view, parent_view=0)
 
 
-def make_gate(pool=None):
+def make_gate():
     service = NullCryptoService(N, QUORUM)
-    return service, VoteBatchGate(service, QUORUM, pool=pool)
+    return service, VoteBatchGate(service, QUORUM)
 
 
 def share_for(service, signer: int, block: BlockSummary, phase=Phase.PREPARE):
@@ -135,48 +126,8 @@ class TestVoteBatchGate:
             )
             for s in range(12)
         ]
-        assert len(votes) >= 2 * VoteBatchGate.MIN_CHUNK  # chunked path engages
-        inline_gate = VoteBatchGate(service, 9, pool=InlineVerifierPool())
-        pool = ThreadVerifierPool(workers=3)
-        try:
-            threaded_gate = VoteBatchGate(service, 9, pool=pool)
-            assert inline_gate._verify(votes) == threaded_gate._verify(votes) == [3]
-        finally:
-            pool.close()
-
-    def test_quorum_sized_batches_stay_on_the_calling_thread(self):
-        class ExplodingPool(InlineVerifierPool):
-            workers = 4
-
-            def map(self, fn, chunks):
-                raise AssertionError("small batch must not reach the pool")
-
-        service = NullCryptoService(N, QUORUM)
-        gate = VoteBatchGate(service, QUORUM, pool=ExplodingPool())
-        block = summary()
-        votes = [
-            (s, Phase.PREPARE, 1, block, share_for(service, s, block)) for s in range(N)
-        ]
-        assert gate._verify(votes) == []
-
-
-class TestVerifierPool:
-    def test_factory(self):
-        assert make_verifier_pool("inline").kind == "inline"
-        pool = make_verifier_pool("threads", workers=2)
-        try:
-            assert pool.kind == "threads" and pool.workers == 2
-        finally:
-            pool.close()
-        with pytest.raises(ValueError):
-            make_verifier_pool("gpu")
-
-    def test_thread_pool_maps_in_order(self):
-        pool = ThreadVerifierPool(workers=2)
-        try:
-            assert pool.map(lambda chunk: sum(chunk), [[1, 2], [3], [4, 5]]) == [3, 3, 9]
-        finally:
-            pool.close()
+        # One aggregate check over all twelve shares finds the bad one.
+        assert VoteBatchGate(service, 9)._verify(votes) == [3]
 
 
 def op(sequence: int, weight: int = 1) -> Operation:
@@ -228,42 +179,12 @@ class TestBatchPoolStaging:
         assert pool.staged_epoch == epoch
 
 
-class TestAdaptiveBatchController:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchController(band=(0.5, 0.2), min_batch=1, cap=10)
-        with pytest.raises(ValueError):
-            AdaptiveBatchController(band=(0.1, 0.5), min_batch=20, cap=10)
-
-    def test_shrinks_above_band_grows_below(self):
-        controller = AdaptiveBatchController(band=(0.2, 0.8), min_batch=10, cap=1000)
-        assert controller.observe(2.0, 100) == 80
-        controller = AdaptiveBatchController(band=(0.2, 0.8), min_batch=10, cap=1000)
-        assert controller.observe(0.05, 100) == 125
-
-    def test_clamped_to_bounds(self):
-        controller = AdaptiveBatchController(band=(0.2, 0.8), min_batch=90, cap=110)
-        for _ in range(10):
-            current = controller.observe(5.0, 100)
-        assert current == 90
-        controller = AdaptiveBatchController(band=(0.2, 0.8), min_batch=90, cap=110)
-        for _ in range(10):
-            current = controller.observe(0.01, 100)
-        assert current == 110
-
-    def test_in_band_is_stable(self):
-        controller = AdaptiveBatchController(band=(0.2, 0.8), min_batch=10, cap=1000)
-        assert controller.observe(0.5, 100) == 100
-
-
 class TestPipelineConfig:
-    def test_for_des_forces_inline(self):
-        config = PipelineConfig(verifier="threads", verifier_workers=8)
-        des = config.for_des()
-        assert des.verifier == "inline"
-        assert des.verifier_workers == 8  # everything else untouched
-        inline = PipelineConfig()
-        assert inline.for_des() is inline
+    def test_presence_is_the_only_switch(self):
+        assert dataclasses.fields(PipelineConfig) == ()
+        assert PipelineConfig() == PipelineConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PipelineConfig().batch_votes = False
 
 
 @pytest.mark.parametrize("crypto_mode", ["null", "threshold"])
@@ -275,7 +196,7 @@ def test_pipelined_des_run_commits_safely(crypto_mode):
         experiment,
         protocol="marlin",
         crypto_mode=crypto_mode,
-        pipeline=PipelineConfig(adaptive_batch=True),
+        pipeline=PipelineConfig(),
     )
     pool = ClosedLoopClients(cluster, num_clients=32, token_weight=1, target="all")
     cluster.start()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import os
 
 import pytest
 
@@ -68,6 +69,35 @@ class TestColdRestart:
             assert node._recovered_view is None
             node.stop()
             await network.close()
+
+        run(main())
+
+
+class TestRestartWritesNothing:
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "snapshot"])
+    def test_restart_leaves_the_wal_unchanged(self, tmp_path, pruned):
+        """Recovery indexes the blocks it reads back; it does not re-log them."""
+
+        async def main():
+            dirs = make_dirs(tmp_path)
+            async with LocalCluster(f=1, batch_size=1, data_dirs=dirs, seed=1) as cluster:
+                if pruned:
+                    for node in cluster.nodes:
+                        node.checkpoints._interval = 3
+                        node.checkpoints._keep_window = 2
+                for i in range(20):
+                    await cluster.submit(
+                        KVStateMachine.encode_set(b"k%02d" % i, b"v%02d" % i)
+                    )
+                await cluster.wait_for_height(20, timeout=20, quorum_only=False)
+                old = cluster.nodes[1]
+                assert (old.checkpoints.checkpoints_taken >= 1) == pruned
+                wal = os.path.join(dirs[1], "wal.log")
+                size, height = os.path.getsize(wal), old.committed_height
+                node = await cluster.restart(1)
+                assert os.path.getsize(wal) == size
+                assert node.committed_height == height
+                assert len(set(cluster.state_digests())) == 1
 
         run(main())
 
